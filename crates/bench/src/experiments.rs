@@ -767,8 +767,10 @@ pub fn integrity_overhead(scale: Scale) -> FigData {
     }
     fig.series.extend([off, digests, full]);
     fig.notes.push(
-        "virtual elapsed time is identical across all three modes (asserted); the digest \
-         layer costs one FNV-1a pass per transfer endpoint on the host"
+        "virtual elapsed time is identical across all three modes (asserted); on the host \
+         the digest layer hashes a device slab (word-wide, eight bytes per step) once after \
+         each write that lands on it, the whole slab even for a partial ghost landing, and \
+         verifies a slab nobody wrote since its last digest by comparing write stamps"
             .into(),
     );
     fig.notes.push(counts);

@@ -7,12 +7,16 @@
 //! `TileAcc` calls `cudaMemGetInfo`.
 //!
 //! [`IntegrityBook`] is the end-to-end transfer-integrity layer that sits on
-//! top of the (non-ECC) device DRAM model: per-buffer FNV-1a digests recorded
-//! at every landing write, verified before every read-side consumer, with
-//! bounded retransmission from the authoritative side and explicit poison
-//! tracking when repair is impossible. It runs inside data effects, so it is
-//! pure host-side bookkeeping: it never submits operations and never changes
-//! the simulated schedule.
+//! top of the (non-ECC) device DRAM model: per-buffer content digests
+//! ([`memslab::word_digest`]) recorded at every landing write, verified
+//! before every read-side consumer, with bounded retransmission from the
+//! authoritative side and explicit poison tracking when repair is
+//! impossible. Each digest is kept with the slab's write stamp
+//! ([`Slab::stamp`]) it was taken at, so a verification of bytes nobody
+//! wrote since is a stamp compare, not a rehash: only a slab written since
+//! its last digest is hashed again. It runs inside data effects, so it is
+//! pure host-side bookkeeping: it never submits operations and never
+//! changes the simulated schedule.
 
 use crate::fault::CorruptVerdict;
 use memslab::Slab;
@@ -150,16 +154,43 @@ pub struct IntegrityStats {
     pub unrepaired: u64,
 }
 
+/// A content digest and the write stamp of the slab it was taken from.
+/// While the slab's stamp still equals `stamp`, `digest` is its digest.
+#[derive(Clone, Copy)]
+struct Stamped {
+    stamp: u64,
+    digest: u64,
+}
+
+impl Stamped {
+    fn of(slab: &Slab) -> Option<Stamped> {
+        slab.stamped_digest()
+            .map(|(stamp, digest)| Stamped { stamp, digest })
+    }
+}
+
 /// The authoritative host-side source of a *clean* device buffer: where its
-/// bytes were last loaded from, and the digest they had then. While the
-/// entry exists the device copy is redundant, so resident corruption can be
-/// repaired by re-copying. A kernel write invalidates it (the device copy
-/// becomes the only one — dirty in cache terms).
+/// bytes were last loaded from, and the digest they had then (with the
+/// source slab's stamp at that time). While the entry exists the device
+/// copy is redundant, so resident corruption can be repaired by re-copying.
+/// A kernel write invalidates it (the device copy becomes the only one —
+/// dirty in cache terms).
 struct Origin {
     slab: Slab,
     off: usize,
     len: usize,
-    digest: Option<u64>,
+    digest: Option<Stamped>,
+}
+
+impl Origin {
+    /// Whether the source range still holds the bytes it was loaded from.
+    /// An unchanged stamp proves it without rehashing.
+    fn intact(&self) -> bool {
+        let Some(d) = self.digest else {
+            return false;
+        };
+        d.stamp == self.slab.stamp() || self.slab.digest_range(self.off, self.len) == Some(d.digest)
+    }
 }
 
 /// Per-buffer integrity bookkeeping for one [`crate::GpuSystem`].
@@ -173,9 +204,10 @@ pub(crate) struct IntegrityBook {
     /// `figures -- integrity` benchmark) but keeps the injected-corruption
     /// data behaviour identical so results never silently diverge.
     enabled: bool,
-    /// Last known-good whole-buffer digest per device buffer (backed runs
-    /// only; virtual slabs have no bytes to digest).
-    digests: HashMap<usize, u64>,
+    /// Last known-good whole-buffer digest per device buffer, with the
+    /// stamp it was taken at (backed runs only; virtual slabs have no bytes
+    /// to digest).
+    digests: HashMap<usize, Stamped>,
     /// Authoritative host source per clean device buffer.
     origins: HashMap<usize, Origin>,
     poisoned_dev: HashSet<usize>,
@@ -263,10 +295,11 @@ impl IntegrityBook {
                 .wrapping_add(u64::from(attempt).wrapping_mul(0x9e37_79b9_7f4a_7c15));
             let flipped = dst.flip_bit(strike, dst_off, len);
             if self.enabled {
-                // End-to-end check: sender-side digest vs what landed. On
-                // backed runs this really recomputes both; the mismatch is
-                // guaranteed because the flip targets a mantissa bit.
-                if flipped {
+                // End-to-end check: sender-side digest vs what landed. The
+                // mismatch is guaranteed (a single flipped bit always
+                // changes the word digest), so only debug builds pay to
+                // recompute both sides and confirm it.
+                if cfg!(debug_assertions) && flipped {
                     let expected = src.digest_range(src_off, len);
                     let observed = dst.digest_range(dst_off, len);
                     debug_assert_ne!(expected, observed, "injected flip must be visible");
@@ -297,6 +330,10 @@ impl IntegrityBook {
     /// against the last recorded digest and repair from the authoritative
     /// origin when they diverge (a resident strike on a clean slot).
     /// Returns `true` when the buffer is (or became) poisoned.
+    ///
+    /// A slab whose stamp still matches the recorded one was not written
+    /// since its digest was taken, so it verifies without a rehash (and is
+    /// counted exactly as a rehashed verification would be).
     fn verify_device(&mut self, idx: usize, slab: &Slab) -> bool {
         if self.poisoned_dev.contains(&idx) {
             return true;
@@ -304,20 +341,36 @@ impl IntegrityBook {
         if !self.enabled {
             return false;
         }
-        let (Some(expected), Some(now)) = (self.digests.get(&idx).copied(), slab.digest()) else {
+        let Some(expected) = self.digests.get(&idx).copied() else {
             return false;
         };
-        self.stats.verified += 1;
-        if expected == now {
-            return false;
+        if slab.stamp() != expected.stamp {
+            let Some(now) = Stamped::of(slab) else {
+                return false;
+            };
+            if now.digest != expected.digest {
+                self.stats.verified += 1;
+                return self.repair_device(idx, slab, expected.digest);
+            }
+            // Rewritten with identical bytes: the digest holds at the new
+            // stamp.
+            self.digests.insert(idx, now);
         }
+        self.stats.verified += 1;
+        false
+    }
+
+    /// A device buffer failed its pre-check against `expected`. Returns
+    /// `true` when it ends poisoned.
+    fn repair_device(&mut self, idx: usize, slab: &Slab, expected: u64) -> bool {
         self.stats.detected += 1;
         // Quarantine-and-retransmit: if the host still holds the
         // authoritative bytes (clean slot), re-copy them and re-verify.
         if let Some(o) = self.origins.get(&idx) {
-            if o.digest.is_some() && o.slab.digest_range(o.off, o.len) == o.digest {
+            if o.intact() {
                 memslab::copy(slab, 0, &o.slab, o.off, o.len);
-                if slab.digest() == Some(expected) {
+                if let Some(now) = Stamped::of(slab).filter(|now| now.digest == expected) {
+                    self.digests.insert(idx, now);
                     self.stats.repaired += 1;
                     return false;
                 }
@@ -331,22 +384,37 @@ impl IntegrityBook {
         true
     }
 
+    /// Record the post-write digest of a device buffer. Rehashes only when
+    /// the slab was written since the recorded digest was taken. Returns
+    /// the digest (`None` when virtual or checking is off).
+    fn record_digest(&mut self, idx: usize, slab: &Slab) -> Option<u64> {
+        if !self.enabled {
+            return None;
+        }
+        if let Some(d) = self.digests.get(&idx) {
+            if d.stamp == slab.stamp() {
+                return Some(d.digest);
+            }
+        }
+        match Stamped::of(slab) {
+            Some(d) => {
+                self.digests.insert(idx, d);
+                Some(d.digest)
+            }
+            None => {
+                self.digests.remove(&idx);
+                None
+            }
+        }
+    }
+
     /// Record the post-write state of a device buffer after a clean landing
     /// write covering `dst_off..dst_off+len`.
-    fn record_device_write(&mut self, idx: usize, slab: &Slab, covers_all: bool) {
+    fn record_device_write(&mut self, idx: usize, slab: &Slab, covers_all: bool) -> Option<u64> {
         if covers_all {
             self.poisoned_dev.remove(&idx);
         }
-        if self.enabled {
-            match slab.digest() {
-                Some(d) => {
-                    self.digests.insert(idx, d);
-                }
-                None => {
-                    self.digests.remove(&idx);
-                }
-            }
-        }
+        self.record_digest(idx, slab)
     }
 
     /// H2D landing: copy + in-flight corruption handling + bookkeeping,
@@ -377,15 +445,25 @@ impl IntegrityBook {
             self.digests.remove(&dst_idx);
             return;
         }
-        self.record_device_write(dst_idx, dst, covers_all);
+        let landed = self.record_device_write(dst_idx, dst, covers_all);
         if covers_all && self.enabled {
+            // The landing was clean and covers the whole slab, so the
+            // device digest is the source range's digest too: the source
+            // bytes are not hashed a second time.
+            let digest = match landed {
+                Some(digest) if !src.is_virtual() => Some(Stamped {
+                    stamp: src.stamp(),
+                    digest,
+                }),
+                _ => None,
+            };
             self.origins.insert(
                 dst_idx,
                 Origin {
                     slab: src.clone(),
                     off: src_off,
                     len,
-                    digest: src.digest_range(src_off, len),
+                    digest,
                 },
             );
         } else if !covers_all {
@@ -505,16 +583,7 @@ impl IntegrityBook {
             } else {
                 // A kernel write never clears existing poison: we cannot
                 // know it overwrote every poisoned byte.
-                if self.enabled {
-                    match slab.digest() {
-                        Some(d) => {
-                            self.digests.insert(*idx, d);
-                        }
-                        None => {
-                            self.digests.remove(idx);
-                        }
-                    }
-                }
+                self.record_digest(*idx, slab);
             }
         }
         if let Some(strike) = strike {

@@ -13,47 +13,173 @@
 //!
 //! All data-moving helpers are no-ops when either side is virtual, so a
 //! program is oblivious to which mode it runs in.
+//!
+//! Real storage of a page or more is *demand-zero*: [`Slab::real`] records
+//! only that the slab is backed, and the zeroed buffer is allocated by the
+//! first access that reads or writes data. A backed slab that is never
+//! touched costs no memory, and set-up code that builds many buffers does
+//! not pay for pages the run fills later. Smaller slabs are allocated at
+//! construction: deferring them would save no page.
+//!
+//! Every exclusive access to a backed slab draws a fresh **write stamp**
+//! from one process-wide counter (see [`Slab::stamp`]). Two equal stamps
+//! therefore mean "the same storage, unchanged in between", which lets a
+//! caller memoise a content digest and skip rehashing bytes nobody wrote.
 
-use parking_lot::RwLock;
+use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// FNV-1a 64-bit hash — the workspace's one checksum.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// FNV-1a 64-bit hash — the workspace's byte-stream checksum.
 ///
 /// Used by the checkpoint codec (per-section checksums in the `TACK`
-/// format) and by the transfer-integrity layer (per-region content
-/// digests). Keeping the single implementation here, in the leaf crate
-/// both sides already depend on, guarantees a digest recorded by one
-/// layer verifies under the other.
+/// format) and by content fingerprints that must stay stable across
+/// versions (serving golden digests). Keeping the single implementation
+/// here, in the leaf crate every layer already depends on, guarantees a
+/// checksum recorded by one layer verifies under another.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h: u64 = FNV_OFFSET;
     for &b in bytes {
         h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        h = h.wrapping_mul(FNV_PRIME);
     }
     h
 }
 
-/// [`fnv1a64`] over the little-endian byte image of an `f64` slice —
-/// the digest of a region's contents as the integrity layer sees them.
+/// [`fnv1a64`] over the little-endian byte image of an `f64` slice.
 pub fn fnv1a64_f64s(values: &[f64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h: u64 = FNV_OFFSET;
     for v in values {
         for b in v.to_le_bytes() {
             h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            h = h.wrapping_mul(FNV_PRIME);
         }
     }
     h
 }
 
+/// Number of independent lanes in [`word_digest`].
+const LANES: usize = 4;
+
+/// Word-wide content digest of an `f64` slice — the integrity layer's
+/// digest ([`Slab::digest`]).
+///
+/// Element `i` feeds lane `i % 4` as one 64-bit word (its bit pattern):
+/// `lane = (lane ^ word) * FNV_PRIME`, an FNV-1a step over a whole word
+/// instead of a byte. The four lanes carry no dependency on each other, so
+/// the multiplies overlap in the pipeline, and the slice is read eight
+/// bytes per step. At the end the length and the lanes are folded with the
+/// same step.
+///
+/// Every step is a bijection of the lane (or fold) state: XOR with a word
+/// is its own inverse and the FNV prime is odd, so multiplication by it is
+/// invertible mod 2⁶⁴. A change confined to one element therefore changes
+/// its lane, that change survives every later step, and the fold is a
+/// bijection in each lane with the others fixed — any single-element
+/// change, in particular any single bit flip, always changes the digest.
+///
+/// Not interchangeable with [`fnv1a64_f64s`]: the two hash the same bytes
+/// to different values.
+pub fn word_digest(values: &[f64]) -> u64 {
+    let step = |h: u64, w: u64| (h ^ w).wrapping_mul(FNV_PRIME);
+    let mut lanes = [FNV_OFFSET; LANES];
+    let mut chunks = values.chunks_exact(LANES);
+    for c in &mut chunks {
+        for k in 0..LANES {
+            lanes[k] = step(lanes[k], c[k].to_bits());
+        }
+    }
+    for (k, v) in chunks.remainder().iter().enumerate() {
+        lanes[k] = step(lanes[k], v.to_bits());
+    }
+    lanes
+        .iter()
+        .fold(step(FNV_OFFSET, values.len() as u64), |h, &l| step(h, l))
+}
+
+/// Source of write stamps: one counter for the whole process, so a stamp is
+/// never reused by another slab or another write.
+static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
+
+fn next_stamp() -> u64 {
+    // Relaxed: the counter only has to hand out distinct values. A stamp is
+    // stored and read under its slab's lock, which orders it with the data.
+    NEXT_STAMP.fetch_add(1, Ordering::Relaxed)
+}
+
+/// The state behind a slab's lock: its current write stamp and its data.
+///
+/// The stamp doubles as the backing flag, so the state is no larger than
+/// the `Option<Vec<f64>>` it replaces: `stamp == 0` is virtual storage
+/// (never any data), a non-zero stamp is backed storage — demand-zero while
+/// `data` is `None`, allocated once it is `Some`. Stamps are drawn from a
+/// counter that starts at 1, so a backed slab never reads 0.
+struct Storage {
+    stamp: u64,
+    data: Option<Box<[f64]>>,
+}
+
+/// Slabs of at least this many elements (one 4 KiB page) are demand-zero;
+/// shorter ones get their zeroed storage at construction. Deferring a
+/// sub-page buffer saves no page — it shares pages with other heap blocks —
+/// and allocating it in the middle of a run scatters small blocks among the
+/// run's own allocations, where they pin the heap top: on the model
+/// checker, whose slabs are all 2 KiB, deferring them raised peak RSS.
+const DEMAND_ZERO_MIN_LEN: usize = 4096 / std::mem::size_of::<f64>();
+
+impl Storage {
+    const VIRTUAL: Storage = Storage {
+        stamp: 0,
+        data: None,
+    };
+
+    fn backed(data: Option<Box<[f64]>>) -> Self {
+        Storage {
+            stamp: next_stamp(),
+            data,
+        }
+    }
+
+    /// Backed storage of `len` zeros: demand-zero from one page up,
+    /// allocated now below that.
+    fn zeroed(len: usize) -> Self {
+        Storage::backed((len < DEMAND_ZERO_MIN_LEN).then(|| zeros(len)))
+    }
+
+    fn is_virtual(&self) -> bool {
+        self.stamp == 0
+    }
+
+    /// Backed but not yet allocated.
+    fn is_demand_zero(&self) -> bool {
+        self.stamp != 0 && self.data.is_none()
+    }
+
+    /// Give demand-zero storage its zeroed pages. Contents do not change,
+    /// so the stamp does not either.
+    fn allocate(&mut self, len: usize) {
+        if self.is_demand_zero() {
+            self.data = Some(zeros(len));
+        }
+    }
+}
+
+fn zeros(len: usize) -> Box<[f64]> {
+    vec![0.0; len].into_boxed_slice()
+}
+
 /// A shared, optionally-backed buffer of `f64`.
 ///
-/// Cloning a `Slab` is cheap and yields another handle to the same storage.
+/// Cloning a `Slab` is cheap and yields another handle to the same storage
+/// (and the same stamp).
 #[derive(Clone)]
 pub struct Slab {
     len: usize,
-    inner: Arc<RwLock<Option<Vec<f64>>>>,
+    inner: Arc<RwLock<Storage>>,
 }
 
 impl fmt::Debug for Slab {
@@ -66,29 +192,29 @@ impl fmt::Debug for Slab {
 }
 
 impl Slab {
-    /// A real slab of `len` elements, zero-initialized.
-    pub fn real(len: usize) -> Self {
+    fn with_storage(len: usize, storage: Storage) -> Self {
         Slab {
             len,
-            inner: Arc::new(RwLock::new(Some(vec![0.0; len]))),
+            inner: Arc::new(RwLock::new(storage)),
         }
+    }
+
+    /// A real slab of `len` elements, zero-initialized. From one 4 KiB page
+    /// of elements up, the zeroed storage is allocated by the first access,
+    /// not here.
+    pub fn real(len: usize) -> Self {
+        Self::with_storage(len, Storage::zeroed(len))
     }
 
     /// A real slab taking ownership of `data`.
     pub fn from_vec(data: Vec<f64>) -> Self {
-        Slab {
-            len: data.len(),
-            inner: Arc::new(RwLock::new(Some(data))),
-        }
+        Self::with_storage(data.len(), Storage::backed(Some(data.into_boxed_slice())))
     }
 
     /// A virtual slab: it has a length (and therefore a byte size for the
     /// cost model) but no backing storage.
     pub fn virtual_(len: usize) -> Self {
-        Slab {
-            len,
-            inner: Arc::new(RwLock::new(None)),
-        }
+        Self::with_storage(len, Storage::VIRTUAL)
     }
 
     /// Real if `backed`, virtual otherwise. Convenience for harnesses that
@@ -99,6 +225,30 @@ impl Slab {
         } else {
             Self::virtual_(len)
         }
+    }
+
+    /// Shared access, allocating demand-zero storage first.
+    fn read(&self) -> RwLockReadGuard<'_, Storage> {
+        loop {
+            let guard = self.inner.read();
+            if !guard.is_demand_zero() {
+                return guard;
+            }
+            drop(guard);
+            self.inner.write().allocate(self.len);
+        }
+    }
+
+    /// Exclusive access for a write: every byte-changing path comes through
+    /// here, and it draws the new stamp. Demand-zero storage is allocated
+    /// first; virtual storage is left alone (no stamp, no work).
+    fn write(&self) -> RwLockWriteGuard<'_, Storage> {
+        let mut guard = self.inner.write();
+        if !guard.is_virtual() {
+            guard.allocate(self.len);
+            guard.stamp = next_stamp();
+        }
+        guard
     }
 
     /// Number of `f64` elements.
@@ -118,7 +268,7 @@ impl Slab {
 
     /// True when the slab has no backing storage.
     pub fn is_virtual(&self) -> bool {
-        self.inner.read().is_none()
+        self.inner.read().is_virtual()
     }
 
     /// Two handles are aliases when they share storage.
@@ -126,16 +276,27 @@ impl Slab {
         Arc::ptr_eq(&self.inner, &other.inner)
     }
 
+    /// The current write stamp. Every access that can change a backed
+    /// slab's bytes — [`Slab::with_mut`], [`Slab::set`], the fills,
+    /// [`Slab::write_guard`], being the destination of [`copy`] or
+    /// [`gather`], [`Slab::flip_bit`], and [`Slab::materialize`] of a
+    /// virtual slab — draws a new stamp from a process-wide counter, so a
+    /// stamp equal to one read earlier proves the contents are unchanged
+    /// since. Virtual slabs (including dematerialized ones) read 0.
+    pub fn stamp(&self) -> u64 {
+        self.inner.read().stamp
+    }
+
     /// Run `f` with a shared view of the data (`None` when virtual).
     pub fn with<R>(&self, f: impl FnOnce(Option<&[f64]>) -> R) -> R {
-        let guard = self.inner.read();
-        f(guard.as_deref())
+        let guard = self.read();
+        f(guard.data.as_deref())
     }
 
     /// Run `f` with an exclusive view of the data (`None` when virtual).
     pub fn with_mut<R>(&self, f: impl FnOnce(Option<&mut [f64]>) -> R) -> R {
-        let mut guard = self.inner.write();
-        f(guard.as_deref_mut())
+        let mut guard = self.write();
+        f(guard.data.as_deref_mut())
     }
 
     /// Read one element. `None` when virtual. Panics when out of bounds.
@@ -145,7 +306,7 @@ impl Slab {
             "Slab::get: index {idx} out of bounds {}",
             self.len
         );
-        self.inner.read().as_ref().map(|v| v[idx])
+        self.read().data.as_ref().map(|v| v[idx])
     }
 
     /// Write one element. No-op when virtual. Panics when out of bounds.
@@ -155,21 +316,21 @@ impl Slab {
             "Slab::set: index {idx} out of bounds {}",
             self.len
         );
-        if let Some(v) = self.inner.write().as_mut() {
+        if let Some(v) = self.write().data.as_deref_mut() {
             v[idx] = value;
         }
     }
 
     /// Fill every element with `value`. No-op when virtual.
     pub fn fill(&self, value: f64) {
-        if let Some(v) = self.inner.write().as_mut() {
+        if let Some(v) = self.write().data.as_deref_mut() {
             v.fill(value);
         }
     }
 
     /// Initialize each element from `f(index)`. No-op when virtual.
     pub fn fill_with(&self, mut f: impl FnMut(usize) -> f64) {
-        if let Some(v) = self.inner.write().as_mut() {
+        if let Some(v) = self.write().data.as_deref_mut() {
             for (i, x) in v.iter_mut().enumerate() {
                 *x = f(i);
             }
@@ -178,23 +339,24 @@ impl Slab {
 
     /// Copy the whole contents out (for assertions). `None` when virtual.
     pub fn snapshot(&self) -> Option<Vec<f64>> {
-        self.inner.read().clone()
+        self.read().data.as_deref().map(<[f64]>::to_vec)
     }
 
-    /// Give a virtual slab zeroed real storage; no-op when already real.
+    /// Give a virtual slab zeroed real storage (demand-zero, as
+    /// [`Slab::real`]); no-op when already real.
     pub fn materialize(&self) {
         let mut guard = self.inner.write();
-        if guard.is_none() {
-            *guard = Some(vec![0.0; self.len]);
+        if guard.is_virtual() {
+            *guard = Storage::zeroed(self.len);
         }
     }
 
     /// Drop the backing storage, making the slab virtual again.
     pub fn dematerialize(&self) {
-        *self.inner.write() = None;
+        *self.inner.write() = Storage::VIRTUAL;
     }
 
-    /// Content digest of the whole slab ([`fnv1a64_f64s`]); `None` when
+    /// Content digest of the whole slab ([`word_digest`]); `None` when
     /// virtual — timing-only runs carry no data to checksum.
     pub fn digest(&self) -> Option<u64> {
         self.digest_range(0, self.len)
@@ -203,15 +365,28 @@ impl Slab {
     /// Content digest of `len` elements starting at `off`. `None` when
     /// virtual. Panics when the range is out of bounds.
     pub fn digest_range(&self, off: usize, len: usize) -> Option<u64> {
+        self.stamped_digest_range(off, len).map(|(_, d)| d)
+    }
+
+    /// [`Slab::digest`] together with the stamp the contents had when they
+    /// were hashed, read under one lock: `(stamp, digest)`.
+    pub fn stamped_digest(&self) -> Option<(u64, u64)> {
+        self.stamped_digest_range(0, self.len)
+    }
+
+    /// [`Slab::digest_range`] together with the whole slab's stamp at the
+    /// time of hashing: `(stamp, digest)`.
+    fn stamped_digest_range(&self, off: usize, len: usize) -> Option<(u64, u64)> {
         assert!(
             off + len <= self.len,
             "Slab::digest_range: range {off}+{len} exceeds {}",
             self.len
         );
-        self.inner
-            .read()
+        let guard = self.read();
+        guard
+            .data
             .as_ref()
-            .map(|v| fnv1a64_f64s(&v[off..off + len]))
+            .map(|v| (guard.stamp, word_digest(&v[off..off + len])))
     }
 
     /// Flip one bit of one element — the silent-corruption injection
@@ -227,7 +402,7 @@ impl Slab {
         if len == 0 {
             return false;
         }
-        if let Some(v) = self.inner.write().as_mut() {
+        if let Some(v) = self.write().data.as_deref_mut() {
             let idx = off + (strike as usize) % len;
             // Flip within the mantissa so the value stays finite but wrong.
             let bit = (strike >> 32) % 52;
@@ -241,33 +416,33 @@ impl Slab {
     /// Acquire a shared guard (for building multi-slab views; see
     /// `tida::with_many`). Prefer [`Slab::with`] for single-slab access.
     pub fn read_guard(&self) -> ReadGuard<'_> {
-        ReadGuard(self.inner.read())
+        ReadGuard(self.read())
     }
 
     /// Acquire an exclusive guard. Deadlocks if the same storage is already
     /// guarded — callers must check [`Slab::same_storage`] first.
     pub fn write_guard(&self) -> WriteGuard<'_> {
-        WriteGuard(self.inner.write())
+        WriteGuard(self.write())
     }
 }
 
 /// Shared access guard over a slab's storage.
-pub struct ReadGuard<'a>(parking_lot::RwLockReadGuard<'a, Option<Vec<f64>>>);
+pub struct ReadGuard<'a>(RwLockReadGuard<'a, Storage>);
 
 impl ReadGuard<'_> {
     /// The data (`None` when the slab is virtual).
     pub fn data(&self) -> Option<&[f64]> {
-        self.0.as_deref()
+        self.0.data.as_deref()
     }
 }
 
 /// Exclusive access guard over a slab's storage.
-pub struct WriteGuard<'a>(parking_lot::RwLockWriteGuard<'a, Option<Vec<f64>>>);
+pub struct WriteGuard<'a>(RwLockWriteGuard<'a, Storage>);
 
 impl WriteGuard<'_> {
     /// The data (`None` when the slab is virtual).
     pub fn data_mut(&mut self) -> Option<&mut [f64]> {
-        self.0.as_deref_mut()
+        self.0.data.as_deref_mut()
     }
 }
 
@@ -293,14 +468,16 @@ pub fn copy(dst: &Slab, dst_off: usize, src: &Slab, src_off: usize, len: usize) 
         return;
     }
     if dst.same_storage(src) {
-        if let Some(v) = dst.inner.write().as_mut() {
+        if let Some(v) = dst.write().data.as_deref_mut() {
             v.copy_within(src_off..src_off + len, dst_off);
         }
         return;
     }
-    let src_guard = src.inner.read();
-    let Some(s) = src_guard.as_ref() else { return };
-    if let Some(d) = dst.inner.write().as_mut() {
+    let src_guard = src.read();
+    let Some(s) = src_guard.data.as_deref() else {
+        return;
+    };
+    if let Some(d) = dst.write().data.as_deref_mut() {
         d[dst_off..dst_off + len].copy_from_slice(&s[src_off..src_off + len]);
     }
 }
@@ -317,16 +494,18 @@ pub fn gather(dst: &Slab, dst_idx: &[usize], src: &Slab, src_idx: &[usize]) {
         "memslab::gather: index lists differ in length"
     );
     if dst.same_storage(src) {
-        if let Some(v) = dst.inner.write().as_mut() {
+        if let Some(v) = dst.write().data.as_deref_mut() {
             for (&d, &s) in dst_idx.iter().zip(src_idx) {
                 v[d] = v[s];
             }
         }
         return;
     }
-    let src_guard = src.inner.read();
-    let Some(s) = src_guard.as_ref() else { return };
-    if let Some(d) = dst.inner.write().as_mut() {
+    let src_guard = src.read();
+    let Some(s) = src_guard.data.as_deref() else {
+        return;
+    };
+    if let Some(d) = dst.write().data.as_deref_mut() {
         for (&di, &si) in dst_idx.iter().zip(src_idx) {
             d[di] = s[si];
         }
@@ -496,7 +675,285 @@ mod tests {
         assert!(!Slab::virtual_(4).flip_bit(1, 0, 4), "virtual is exempt");
     }
 
+    #[test]
+    fn real_slab_is_backed_before_first_access() {
+        let n = DEMAND_ZERO_MIN_LEN;
+        for len in [0, 3, n - 1, n, n + 3] {
+            let s = Slab::real(len);
+            assert_eq!(s.inner.read().is_demand_zero(), len >= n, "len {len}");
+            assert!(!s.is_virtual(), "demand-zero storage is still backed");
+            assert_eq!(s.digest(), Some(word_digest(&vec![0.0; len])));
+            assert_eq!(s.snapshot().unwrap(), vec![0.0; len]);
+            let w = Slab::real(len);
+            if len > 0 {
+                w.set(len - 1, 1.5);
+                let mut expect = vec![0.0; len];
+                expect[len - 1] = 1.5;
+                assert_eq!(w.snapshot().unwrap(), expect);
+            }
+        }
+        let m = Slab::virtual_(n);
+        m.materialize();
+        assert!(m.inner.read().is_demand_zero(), "materialize defers too");
+        assert_eq!(m.get(n - 1), Some(0.0));
+    }
+
+    #[test]
+    fn slab_header_does_not_grow() {
+        assert!(
+            std::mem::size_of::<Storage>() <= std::mem::size_of::<Option<Vec<f64>>>(),
+            "stamp and demand-zero state must fit where the bare Option<Vec> was"
+        );
+    }
+
+    #[test]
+    fn every_mutating_path_draws_a_new_stamp() {
+        let s = Slab::from_vec(vec![1.0, 2.0, 3.0, 4.0]);
+        let other = Slab::from_vec(vec![5.0, 6.0, 7.0, 8.0]);
+        let mut seen = vec![s.stamp()];
+        let mut check = |what: &str, s: &Slab| {
+            let now = s.stamp();
+            assert!(!seen.contains(&now), "{what} left the stamp at {now}");
+            seen.push(now);
+        };
+        s.with_mut(|_| ());
+        check("with_mut", &s);
+        s.set(0, 9.0);
+        check("set", &s);
+        s.fill(1.0);
+        check("fill", &s);
+        s.fill_with(|i| i as f64);
+        check("fill_with", &s);
+        drop(s.write_guard());
+        check("write_guard", &s);
+        copy(&s, 0, &other, 1, 2);
+        check("copy destination", &s);
+        copy(&s, 0, &s.clone(), 1, 2);
+        check("copy onto itself", &s);
+        gather(&s, &[0], &other, &[3]);
+        check("gather destination", &s);
+        gather(&s, &[1], &s.clone(), &[0]);
+        check("gather onto itself", &s);
+        assert!(s.flip_bit(3, 0, 4));
+        check("flip_bit", &s);
+        s.dematerialize();
+        assert_eq!(s.stamp(), 0, "virtual slabs carry no stamp");
+        s.materialize();
+        check("materialize", &s);
+
+        // Shared access and the source side of a copy leave it alone.
+        let before = other.stamp();
+        other.with(|_| ());
+        other.get(0);
+        other.snapshot();
+        other.digest();
+        drop(other.read_guard());
+        copy(&s, 0, &other, 0, 1);
+        assert_eq!(other.stamp(), before, "reads must not restamp");
+
+        // Virtual slabs do no stamp work at all.
+        let v = Slab::virtual_(4);
+        v.set(0, 1.0);
+        v.fill(2.0);
+        copy(&v, 0, &other, 0, 4);
+        assert_eq!(v.stamp(), 0);
+    }
+
+    #[test]
+    fn first_read_of_demand_zero_storage_keeps_the_stamp() {
+        let s = Slab::real(DEMAND_ZERO_MIN_LEN);
+        let before = s.stamp();
+        let (stamp, digest) = s.stamped_digest().unwrap();
+        assert!(!s.inner.read().is_demand_zero(), "the read allocated");
+        assert_eq!(stamp, before, "allocating zeros changes no byte");
+        assert_eq!(digest, word_digest(&vec![0.0; DEMAND_ZERO_MIN_LEN]));
+    }
+
+    #[test]
+    fn word_digest_sees_every_single_bit_flip() {
+        // Exhaustive over every bit of every element of slices that cover
+        // each lane-remainder case (lengths 1..=9).
+        let base: Vec<f64> = (0..9).map(|i| i as f64 * 0.75 - 2.0).collect();
+        for len in 1..=base.len() {
+            let clean = word_digest(&base[..len]);
+            let mut v = base[..len].to_vec();
+            for i in 0..len {
+                for bit in 0..64 {
+                    v[i] = f64::from_bits(base[i].to_bits() ^ (1u64 << bit));
+                    assert_ne!(
+                        word_digest(&v),
+                        clean,
+                        "flip of bit {bit} in element {i} of {len} went unseen"
+                    );
+                    v[i] = base[i];
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn word_digest_depends_on_length_and_order() {
+        assert_ne!(word_digest(&[]), word_digest(&[0.0]));
+        assert_ne!(word_digest(&[0.0; 4]), word_digest(&[0.0; 8]));
+        assert_ne!(word_digest(&[1.0, 2.0]), word_digest(&[2.0, 1.0]));
+    }
+
+    /// One step of the random operation sequences driven by
+    /// `prop_stamp_memo_matches_fresh_digest`.
+    #[derive(Debug, Clone)]
+    enum SlabOp {
+        Set(usize, usize, f64),
+        Fill(usize, f64),
+        FillWith(usize, u64),
+        WithMut(usize, usize),
+        WriteGuard(usize, usize),
+        Copy(usize, usize, usize),
+        Gather(usize, usize, usize),
+        Flip(usize, u64),
+        Read(usize),
+        Dematerialize(usize),
+        Materialize(usize),
+        /// Free the buffer at the index and allocate a fresh one there.
+        Realloc(usize, bool),
+    }
+
+    fn slab_op() -> impl Strategy<Value = SlabOp> {
+        let b = 0usize..3;
+        prop_oneof![
+            (b.clone(), 0usize..64, -1e6f64..1e6).prop_map(|(b, i, x)| SlabOp::Set(b, i, x)),
+            (b.clone(), -1e6f64..1e6).prop_map(|(b, x)| SlabOp::Fill(b, x)),
+            (b.clone(), any::<u64>()).prop_map(|(b, k)| SlabOp::FillWith(b, k)),
+            (b.clone(), 0usize..64).prop_map(|(b, i)| SlabOp::WithMut(b, i)),
+            (b.clone(), 0usize..64).prop_map(|(b, i)| SlabOp::WriteGuard(b, i)),
+            (b.clone(), b.clone(), 0usize..64).prop_map(|(d, s, n)| SlabOp::Copy(d, s, n)),
+            (b.clone(), b.clone(), 0usize..64).prop_map(|(d, s, i)| SlabOp::Gather(d, s, i)),
+            (b.clone(), any::<u64>()).prop_map(|(b, k)| SlabOp::Flip(b, k)),
+            b.clone().prop_map(SlabOp::Read),
+            b.clone().prop_map(SlabOp::Dematerialize),
+            b.clone().prop_map(SlabOp::Materialize),
+            (b, any::<bool>()).prop_map(|(b, zero)| SlabOp::Realloc(b, zero)),
+        ]
+    }
+
     proptest! {
+        /// Over random operation sequences on a small pool of buffers —
+        /// including buffers freed and re-allocated at the same index — a
+        /// digest memoised by `(index, stamp)` and refreshed only when the
+        /// stamp moved always equals a fresh recompute.
+        #[test]
+        fn prop_stamp_memo_matches_fresh_digest(
+            lens in proptest::collection::vec(
+                prop_oneof![1usize..48, DEMAND_ZERO_MIN_LEN..DEMAND_ZERO_MIN_LEN + 48],
+                3,
+            ),
+            ops in proptest::collection::vec(slab_op(), 1..80),
+        ) {
+            use std::collections::HashMap;
+            let mut pool: Vec<Slab> = lens.iter().map(|&n| Slab::real(n)).collect();
+            let mut memo: HashMap<usize, (u64, u64)> = HashMap::new();
+            for op in ops {
+                let stamps: Vec<u64> = pool.iter().map(Slab::stamp).collect();
+                let mut wrote = None;
+                match op.clone() {
+                    SlabOp::Set(b, i, x) => {
+                        pool[b].set(i % pool[b].len(), x);
+                        wrote = Some(b);
+                    }
+                    SlabOp::Fill(b, x) => {
+                        pool[b].fill(x);
+                        wrote = Some(b);
+                    }
+                    SlabOp::FillWith(b, k) => {
+                        pool[b].fill_with(|i| ((k ^ i as u64) % 997) as f64);
+                        wrote = Some(b);
+                    }
+                    SlabOp::WithMut(b, i) => {
+                        pool[b].with_mut(|d| {
+                            if let Some(d) = d {
+                                let j = i % d.len();
+                                d[j] += 1.0;
+                            }
+                        });
+                        wrote = Some(b);
+                    }
+                    SlabOp::WriteGuard(b, i) => {
+                        let mut g = pool[b].write_guard();
+                        if let Some(d) = g.data_mut() {
+                            let j = i % d.len();
+                            d[j] -= 0.5;
+                        }
+                        wrote = Some(b);
+                    }
+                    SlabOp::Copy(d, s, n) => {
+                        let n = n % (pool[d].len().min(pool[s].len()) + 1);
+                        copy(&pool[d], 0, &pool[s], pool[s].len() - n, n);
+                        // A virtual source moves no data, so the
+                        // destination is not written.
+                        if n > 0 && (d == s || !pool[s].is_virtual()) {
+                            wrote = Some(d);
+                        }
+                    }
+                    SlabOp::Gather(d, s, i) => {
+                        let (di, si) = (i % pool[d].len(), (i / 2) % pool[s].len());
+                        gather(&pool[d], &[di], &pool[s], &[si]);
+                        if d == s || !pool[s].is_virtual() {
+                            wrote = Some(d);
+                        }
+                    }
+                    SlabOp::Flip(b, k) => {
+                        let n = pool[b].len();
+                        pool[b].flip_bit(k, 0, n);
+                        wrote = Some(b);
+                    }
+                    SlabOp::Read(b) => {
+                        pool[b].snapshot();
+                    }
+                    SlabOp::Dematerialize(b) => pool[b].dematerialize(),
+                    SlabOp::Materialize(b) => {
+                        let was_virtual = pool[b].is_virtual();
+                        pool[b].materialize();
+                        if was_virtual {
+                            wrote = Some(b);
+                        }
+                    }
+                    SlabOp::Realloc(b, zero) => {
+                        let n = pool[b].len();
+                        pool[b] = if zero {
+                            Slab::real(n)
+                        } else {
+                            Slab::from_vec(vec![0.0; n])
+                        };
+                        wrote = Some(b);
+                    }
+                }
+                // Every mutating path on a backed slab moved the stamp; no
+                // other buffer's stamp moved.
+                for (b, slab) in pool.iter().enumerate() {
+                    if Some(b) == wrote && !slab.is_virtual() {
+                        prop_assert!(slab.stamp() != stamps[b], "{:?} left buffer {}'s stamp", op, b);
+                    } else if Some(b) != wrote && !slab.is_virtual() {
+                        prop_assert_eq!(slab.stamp(), stamps[b], "buffer {} restamped", b);
+                    }
+                }
+                // Memoised digest vs. fresh recompute, for every buffer.
+                for (b, slab) in pool.iter().enumerate() {
+                    let fresh = slab.with(|d| d.map(word_digest));
+                    let memoised = match memo.get(&b) {
+                        Some(&(stamp, digest)) if stamp == slab.stamp() => Some(digest),
+                        _ => {
+                            let now = slab.stamped_digest();
+                            match now {
+                                Some(sd) => memo.insert(b, sd),
+                                None => memo.remove(&b),
+                            };
+                            now.map(|(_, d)| d)
+                        }
+                    };
+                    prop_assert_eq!(memoised, fresh, "buffer {} memo went stale", b);
+                }
+            }
+        }
+
         /// The byte hash and the f64-slice hash agree on the same image,
         /// pinning fnv1a64_f64s to the canonical byte-stream definition.
         #[test]

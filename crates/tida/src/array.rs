@@ -31,6 +31,29 @@ impl Region {
     }
 }
 
+/// Set every cell of `bx` (inside the region's grown box) to `f(cell)`,
+/// one x-row at a time: the layout offset is computed once per row and the
+/// row is contiguous, so no per-cell offset arithmetic is needed. No-op
+/// when the region is virtual.
+fn fill_box(r: &Region, bx: Box3, f: &impl Fn(IntVect) -> f64) {
+    if bx.is_empty() {
+        return;
+    }
+    let (lo, hi) = (bx.lo(), bx.hi());
+    let width = (hi.x() - lo.x() + 1) as usize;
+    r.slab.with_mut(|data| {
+        let Some(data) = data else { return };
+        for z in lo.z()..=hi.z() {
+            for y in lo.y()..=hi.y() {
+                let start = r.layout.offset(IntVect::new(lo.x(), y, z));
+                for (x, cell) in (lo.x()..).zip(&mut data[start..start + width]) {
+                    *cell = f(IntVect::new(x, y, z));
+                }
+            }
+        }
+    });
+}
+
 /// A decomposed array: one ghost-padded buffer per region.
 #[derive(Clone)]
 pub struct TileArray {
@@ -136,11 +159,7 @@ impl TileArray {
     /// to make them coherent.
     pub fn fill_valid(&self, f: impl Fn(IntVect) -> f64) {
         for r in &self.regions {
-            with_view_mut(&r.slab, r.layout, |mut v| {
-                for iv in r.valid.iter() {
-                    v.set(iv, f(iv));
-                }
-            });
+            fill_box(r, r.valid, &f);
         }
     }
 
@@ -148,11 +167,7 @@ impl TileArray {
     /// cells, evaluated at their (possibly out-of-domain) coordinates.
     pub fn fill_grown(&self, f: impl Fn(IntVect) -> f64) {
         for r in &self.regions {
-            with_view_mut(&r.slab, r.layout, |mut v| {
-                for iv in r.grown.iter() {
-                    v.set(iv, f(iv));
-                }
-            });
+            fill_box(r, r.grown, &f);
         }
     }
 
@@ -288,6 +303,46 @@ mod tests {
         a.set_value(IntVect::new(3, 2, 1), -1.0);
         assert_eq!(a.value(IntVect::new(3, 2, 1)), Some(-1.0));
         assert_eq!(a.value(IntVect::new(9, 0, 0)), None);
+    }
+
+    #[test]
+    fn row_fills_match_per_cell_reference() {
+        // Uneven regions and a ghost width of 2, so rows start at varying
+        // offsets; the ghost-only cells keep their prior contents under
+        // fill_valid.
+        let f = |iv: IntVect| ((iv.x() * 7919 + iv.y() * 104_729 + iv.z() * 31) as f64).sin();
+        for grown in [false, true] {
+            let a = TileArray::new(
+                decomp(7, RegionSpec::Grid([2, 3, 1])),
+                2,
+                ExchangeMode::Full,
+                true,
+            );
+            for r in a.regions() {
+                r.slab.fill(-3.5);
+            }
+            if grown {
+                a.fill_grown(f);
+            } else {
+                a.fill_valid(f);
+            }
+            for r in a.regions() {
+                let expect = Slab::from_vec(vec![-3.5; r.layout.len()]);
+                with_view_mut(&expect, r.layout, |mut v| {
+                    for iv in if grown { r.grown } else { r.valid }.iter() {
+                        v.set(iv, f(iv));
+                    }
+                });
+                let (got, want) = (r.slab.snapshot().unwrap(), expect.snapshot().unwrap());
+                assert!(
+                    got.iter()
+                        .zip(&want)
+                        .all(|(g, w)| g.to_bits() == w.to_bits()),
+                    "region {} differs (grown = {grown})",
+                    r.id
+                );
+            }
+        }
     }
 
     #[test]
