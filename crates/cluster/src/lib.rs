@@ -75,10 +75,11 @@ use gpu_sim::{
     DeviceBuffer, FaultPlan, GpuSystem, HostBuffer, HostMemKind, KernelCost, KernelLaunch,
     MachineConfig, OpId, SimTime, StreamId,
 };
+use memslab::Slab;
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
-use tida::{Box3, Decomposition, GhostPatch, IntVect, TileArray};
+use tida::{Box3, Decomposition, GhostPatch, IntVect, Layout, TileArray};
 use tida_acc::{
     AccStats, ArrayId, Checkpoint, CheckpointError, HealthMonitor, HealthState, RetryPolicy,
 };
@@ -208,7 +209,10 @@ impl std::fmt::Display for ClusterError {
                 write!(f, "transfer retry budget exhausted for region {region}")
             }
             ClusterError::Integrity { region } => {
-                write!(f, "unrepairable corruption in region {region}'s host mirror")
+                write!(
+                    f,
+                    "unrepairable corruption in region {region}'s host mirror"
+                )
             }
             ClusterError::Snapshot(e) => write!(f, "snapshot rejected: {e:?}"),
             ClusterError::NoSurvivors => write!(f, "no healthy node left to migrate onto"),
@@ -255,10 +259,10 @@ impl Cluster {
         assert!(cfg.nodes >= 1, "a cluster needs at least one node");
         let nodes: Vec<GpuSystem> = (0..cfg.nodes)
             .map(|n| {
-                let machine = cfg
-                    .machine
-                    .clone()
-                    .with_faults(node_plan(&cfg.fault, n, cfg.devices_per_node));
+                let machine =
+                    cfg.machine
+                        .clone()
+                        .with_faults(node_plan(&cfg.fault, n, cfg.devices_per_node));
                 GpuSystem::multi(machine, cfg.devices_per_node, cfg.backed)
             })
             .collect();
@@ -402,7 +406,10 @@ impl Cluster {
 
     /// Total transfer-integrity detections across all nodes.
     pub fn integrity_detected(&self) -> u64 {
-        self.nodes.iter().map(|n| n.integrity_stats().detected).sum()
+        self.nodes
+            .iter()
+            .map(|n| n.integrity_stats().detected)
+            .sum()
     }
 
     /// Summed H2D bytes across all nodes.
@@ -729,45 +736,34 @@ impl Cluster {
             let src_node = self.node_of(sr);
             let dst_node = self.node_of(dr);
             let ready = match staged[sr] {
-                Some(op) => *send_at[sr]
-                    .get_or_insert_with(|| self.nodes[src_node].op_completion(op)),
+                Some(op) => {
+                    *send_at[sr].get_or_insert_with(|| self.nodes[src_node].op_completion(op))
+                }
                 None => SimTime::ZERO,
             };
             let bytes = p.num_cells() * std::mem::size_of::<f64>() as u64;
             let same_device = self.owner[sr] == self.owner[dr];
-            let delivery = self.net.transfer(src_node, dst_node, same_device, bytes, ready);
+            let delivery = self
+                .net
+                .transfer(src_node, dst_node, same_device, bytes, ready);
 
             let sreg = self.arrays[src.0].array.region(sr);
             let dreg = self.arrays[src.0].array.region(dr);
-            // Snapshot the payload driver-side: the receiving scheduler
-            // replays effects in its own order, so the scatter must not
-            // read the source slab lazily.
-            let payload: Option<Vec<f64>> = sreg.slab.with(|s| {
-                s.map(|s| {
-                    let sl = sreg.layout;
-                    let shift = p.shift;
-                    p.dst_box
-                        .iter()
-                        .map(|c| s[sl.offset(c - shift)])
-                        .collect::<Vec<f64>>()
-                })
+            // Snapshot the payload at send time, packed by its own box: the
+            // receiving scheduler replays effects in its own order, so the
+            // scatter must not read the source slab lazily.
+            let scatter = (!sreg.slab.is_virtual()).then(|| {
+                let stage = Layout::new(p.dst_box);
+                let payload = Slab::real(stage.len());
+                let (nx, rows) = tida::patch_rows(stage, sreg.layout, p.dst_box, p.shift);
+                memslab::copy_rows(&payload, &sreg.slab, nx, rows);
+                (payload, stage, dreg.slab.clone(), dreg.layout, p.dst_box)
             });
-            let dst_idx: Vec<usize> = if payload.is_some() {
-                dreg.layout.offsets_of(&p.dst_box)
-            } else {
-                Vec::new()
-            };
-            let dst_slab = dreg.slab.clone();
             let host = self.arrays[src.0].host[dr];
             let effect = move || {
-                if let Some(vals) = &payload {
-                    dst_slab.with_mut(|d| {
-                        if let Some(d) = d {
-                            for (&ix, &v) in dst_idx.iter().zip(vals) {
-                                d[ix] = v;
-                            }
-                        }
-                    });
+                if let Some((payload, stage, dst_slab, dst_layout, dst_box)) = &scatter {
+                    let (nx, rows) = tida::patch_rows(*dst_layout, *stage, *dst_box, IntVect::ZERO);
+                    memslab::copy_rows(dst_slab, payload, nx, rows);
                 }
             };
             self.nodes[dst_node].net_deliver(
@@ -784,9 +780,8 @@ impl Cluster {
         // on its exchange stream), upload the refreshed grown slab —
         // after the interior kernel releases its read of the source
         // device cells — and run the boundary shell behind it.
-        for r in 0..regions {
+        for (r, interior) in interiors.into_iter().enumerate() {
             let node = self.node_of(r);
-            let interior = interiors[r];
             if !interior.is_empty() {
                 let ev_int = self.nodes[node].record_event(self.cstream[r]);
                 self.nodes[node].stream_wait_event(self.xstream[r], ev_int);
@@ -1070,7 +1065,11 @@ mod tests {
         ((iv.x() * 3 + iv.y() * 5 + iv.z() * 7) % 11) as f64
     }
 
-    fn heat_arrays(n: i64, regions: usize, backed: bool) -> (Arc<Decomposition>, TileArray, TileArray) {
+    fn heat_arrays(
+        n: i64,
+        regions: usize,
+        backed: bool,
+    ) -> (Arc<Decomposition>, TileArray, TileArray) {
         let dom = Domain::periodic_cube(n);
         let d = Arc::new(Decomposition::new(dom, RegionSpec::Count(regions)));
         let a = TileArray::new(d.clone(), 1, ExchangeMode::Faces, backed);
@@ -1079,12 +1078,7 @@ mod tests {
         (d, a, b)
     }
 
-    fn drive_heat(
-        cl: &mut Cluster,
-        mut src: ArrayId,
-        mut dst: ArrayId,
-        steps: usize,
-    ) -> ArrayId {
+    fn drive_heat(cl: &mut Cluster, mut src: ArrayId, mut dst: ArrayId, steps: usize) -> ArrayId {
         for _ in 0..steps {
             cl.step(dst, src, None, heat::cost, "heat", |d, s, _aux, bx| {
                 heat::step_tile(d, s, &bx, heat::DEFAULT_FAC)
@@ -1160,7 +1154,11 @@ mod tests {
         let ns = cl.net_stats();
         assert!(ns.msgs_inter > 0, "cross-node faces must cross the wire");
         assert!(cl.bytes_net() > 0);
-        assert_eq!(cl.bytes_net(), ns.bytes(), "node NICs see what the wire sent");
+        assert_eq!(
+            cl.bytes_net(),
+            ns.bytes(),
+            "node NICs see what the wire sent"
+        );
     }
 
     #[test]
@@ -1238,8 +1236,7 @@ mod tests {
         assert!(st.regions_migrated > 0, "node 1's regions must move");
         assert_eq!(st.checkpoints_restored, 1);
         assert!(
-            st.migration_restage_bytes
-                >= st.regions_migrated * 2 * 8, // at least something per region per array
+            st.migration_restage_bytes >= st.regions_migrated * 2 * 8, // at least something per region per array
         );
         // Everything now lives on node 0.
         for r in 0..4 {
@@ -1256,6 +1253,9 @@ mod tests {
         let out = if last.0 == 0 { &a } else { &b };
         assert!(out.to_dense().is_none(), "virtual arrays carry no data");
         assert!(cl.finish() > SimTime::ZERO);
-        assert!(cl.net_stats().msgs() > 0, "timing-only messages still priced");
+        assert!(
+            cl.net_stats().msgs() > 0,
+            "timing-only messages still priced"
+        );
     }
 }

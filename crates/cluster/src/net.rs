@@ -389,8 +389,12 @@ mod tests {
 
     #[test]
     fn flap_window_pushes_departure() {
-        let fault =
-            LinkFault::on("ib:0-1").flaps(SimTime::ZERO, SimTime::from_us(100), SimTime::from_us(40), 1);
+        let fault = LinkFault::on("ib:0-1").flaps(
+            SimTime::ZERO,
+            SimTime::from_us(100),
+            SimTime::from_us(40),
+            1,
+        );
         let mut net = m(2, vec![fault]);
         let d = net.transfer(0, 1, false, 4096, SimTime::ZERO);
         assert!(d.arrival >= SimTime::from_us(40), "waits out the window");

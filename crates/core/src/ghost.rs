@@ -7,6 +7,8 @@
 //! an index-list gather kernel in the destination slot's stream. Because the
 //! launches are asynchronous, the host computes the next patch's indices
 //! while the device applies the previous one: the CPU/GPU overlap of Fig. 4.
+//! That is the simulated cost; the data effect of a backed run moves the
+//! patch one x-row at a time (`tida::patch_rows` + `memslab::copy_rows`).
 //!
 //! Patches whose regions all live on the host are applied directly on the
 //! host copies (the paper's "update of ghost cells of a region takes place
@@ -187,20 +189,10 @@ impl TileAcc {
                 .efficiency(eff)
                 .writes(self.slot_dev(s_dst).into())
                 .exec_if(backed, move || {
-                    if dst_slab.is_virtual() {
-                        return;
-                    }
                     for (patch, src_slab, src_layout) in &srcs {
-                        if src_slab.is_virtual() {
-                            continue;
-                        }
-                        let dst_idx = dst_layout.offsets_of(&patch.dst_box);
-                        let src_idx: Vec<usize> = patch
-                            .dst_box
-                            .iter()
-                            .map(|c| src_layout.offset(c - patch.shift))
-                            .collect();
-                        memslab::gather(&dst_slab, &dst_idx, src_slab, &src_idx);
+                        let (nx, rows) =
+                            tida::patch_rows(dst_layout, *src_layout, patch.dst_box, patch.shift);
+                        memslab::copy_rows(&dst_slab, src_slab, nx, rows);
                     }
                 });
         for &(_, s) in &src_slots {
@@ -286,18 +278,9 @@ impl TileAcc {
                 .reads(sdev.into())
                 .writes(ddev.into())
                 .exec_if(backed, move || {
-                    // Build the index lists only when data is real; virtual
-                    // (timing-only) runs skip the work entirely.
-                    if dst_slab.is_virtual() || src_slab.is_virtual() {
-                        return;
-                    }
-                    let dst_idx = dst_layout.offsets_of(&patch.dst_box);
-                    let src_idx: Vec<usize> = patch
-                        .dst_box
-                        .iter()
-                        .map(|c| src_layout.offset(c - patch.shift))
-                        .collect();
-                    memslab::gather(&dst_slab, &dst_idx, &src_slab, &src_idx);
+                    let (nx, rows) =
+                        tida::patch_rows(dst_layout, src_layout, patch.dst_box, patch.shift);
+                    memslab::copy_rows(&dst_slab, &src_slab, nx, rows);
                 }),
         );
         self.mark_dirty(s_dst);

@@ -30,7 +30,9 @@ use gpu_sim::{
     DeviceBuffer, GpuSystem, HostBuffer, HostMemKind, KernelCost, KernelLaunch, SimTime, StreamId,
 };
 use std::sync::Arc;
-use tida::{with_dst_src, with_view_mut, Box3, Decomposition, GhostPatch, Tile, TileArray};
+use tida::{
+    with_dst_src, with_view_mut, Box3, Decomposition, GhostPatch, IntVect, Tile, TileArray,
+};
 
 struct MArray {
     array: TileArray,
@@ -629,16 +631,9 @@ impl MultiAcc {
                 .reads(sdev.into())
                 .writes(ddev.into())
                 .exec(move || {
-                    if dst_slab.is_virtual() || src_slab.is_virtual() {
-                        return;
-                    }
-                    let dst_idx = dst_layout.offsets_of(&patch.dst_box);
-                    let src_idx: Vec<usize> = patch
-                        .dst_box
-                        .iter()
-                        .map(|c| src_layout.offset(c - patch.shift))
-                        .collect();
-                    memslab::gather(&dst_slab, &dst_idx, &src_slab, &src_idx);
+                    let (nx, rows) =
+                        tida::patch_rows(dst_layout, src_layout, patch.dst_box, patch.shift);
+                    memslab::copy_rows(&dst_slab, &src_slab, nx, rows);
                 }),
         );
         self.arrays[array.0].dirty[p.dst_region] = true;
@@ -669,16 +664,12 @@ impl MultiAcc {
                 .reads(srdev.into())
                 .writes(ssdev.into())
                 .exec(move || {
-                    if src_slab.is_virtual() || stage_src_slab.is_virtual() {
-                        return;
-                    }
-                    let src_idx: Vec<usize> = patch
-                        .dst_box
-                        .iter()
-                        .map(|c| src_layout.offset(c - patch.shift))
-                        .collect();
-                    let lin: Vec<usize> = (0..src_idx.len()).collect();
-                    memslab::gather(&stage_src_slab, &lin, &src_slab, &src_idx);
+                    // The staging buffer holds the patch laid out by its
+                    // own box.
+                    let stage = tida::Layout::new(patch.dst_box);
+                    let (nx, rows) =
+                        tida::patch_rows(stage, src_layout, patch.dst_box, patch.shift);
+                    memslab::copy_rows(&stage_src_slab, &src_slab, nx, rows);
                 }),
         );
 
@@ -705,12 +696,10 @@ impl MultiAcc {
                 .reads(dsdev.into())
                 .writes(ddev.into())
                 .exec(move || {
-                    if dst_slab.is_virtual() || stage_dst_slab.is_virtual() {
-                        return;
-                    }
-                    let dst_idx = dst_layout.offsets_of(&patch.dst_box);
-                    let lin: Vec<usize> = (0..dst_idx.len()).collect();
-                    memslab::gather(&dst_slab, &dst_idx, &stage_dst_slab, &lin);
+                    let stage = tida::Layout::new(patch.dst_box);
+                    let (nx, rows) =
+                        tida::patch_rows(dst_layout, stage, patch.dst_box, IntVect::ZERO);
+                    memslab::copy_rows(&dst_slab, &stage_dst_slab, nx, rows);
                 }),
         );
         self.arrays[array.0].dirty[p.dst_region] = true;

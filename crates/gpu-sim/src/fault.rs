@@ -510,15 +510,13 @@ impl LinkFault {
             return None;
         }
         let off = now.as_ns() - self.flap_from.as_ns();
-        if self.flap_cycles > 0
-            && off >= self.flap_period.as_ns().saturating_mul(self.flap_cycles)
+        if self.flap_cycles > 0 && off >= self.flap_period.as_ns().saturating_mul(self.flap_cycles)
         {
             return None;
         }
         let into = off % self.flap_period.as_ns();
-        (into < self.flap_down.as_ns()).then(|| {
-            SimTime::from_ns(now.as_ns() - into + self.flap_down.as_ns())
-        })
+        (into < self.flap_down.as_ns())
+            .then(|| SimTime::from_ns(now.as_ns() - into + self.flap_down.as_ns()))
     }
 }
 

@@ -14,9 +14,11 @@
 //! impossible. Each digest is kept with the slab's write stamp
 //! ([`Slab::stamp`]) it was taken at, so a verification of bytes nobody
 //! wrote since is a stamp compare, not a rehash: only a slab written since
-//! its last digest is hashed again. It runs inside data effects, so it is
-//! pure host-side bookkeeping: it never submits operations and never
-//! changes the simulated schedule.
+//! its last digest is hashed again. A slab written only by copies
+//! (landings, ghost-row updates) is not rehashed either: it keeps its
+//! digest sum as a memo that each copy moves by the cells it writes. The
+//! book runs inside data effects, so it is pure host-side bookkeeping: it
+//! never submits operations and never changes the simulated schedule.
 
 use crate::fault::CorruptVerdict;
 use memslab::Slab;

@@ -807,8 +807,15 @@ impl GpuSystem {
         self.bytes_net += bytes;
         self.record_access(op, BufKey::Host(dst.0), Access::Write, category);
         let hb_buf = [(BufKey::Host(dst.0), Dir::Write)];
-        self.hazards
-            .observe_op(op, stream.0 + 1, &deps, label, category, &hb_buf, self.host_clock);
+        self.hazards.observe_op(
+            op,
+            stream.0 + 1,
+            &deps,
+            label,
+            category,
+            &hb_buf,
+            self.host_clock,
+        );
         self.put_deps(deps);
         op
     }

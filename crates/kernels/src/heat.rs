@@ -7,8 +7,10 @@
 //! ```
 //!
 //! The same cell formula backs three executors that must agree bit-for-bit:
-//! the golden dense reference, the per-tile host executor, and the simulated
-//! device kernel (which runs the host executor against device slabs).
+//! the golden dense reference, the per-tile row executor [`step_tile`], and
+//! the simulated device kernel (which runs `step_tile` against device
+//! slabs). [`stencil`] is the formula for one cell, the reference the row
+//! executor is tested against.
 
 use gpu_sim::KernelCost;
 use tida::{Box3, IntVect, Layout, View, ViewMut};
@@ -71,7 +73,8 @@ pub fn fused_cost(k: usize, valid: &Box3) -> KernelCost {
     }
 }
 
-/// The cell update. Shared by every executor so results agree exactly.
+/// The cell update, one cell at a time: the reference [`step_tile`]'s row
+/// loop reproduces bit for bit.
 #[inline]
 pub fn stencil(src: &View<'_>, iv: IntVect, fac: f64) -> f64 {
     let c = src.at(iv);
@@ -87,13 +90,47 @@ pub fn stencil(src: &View<'_>, iv: IntVect, fac: f64) -> f64 {
 
 /// One heat step over the cells of `bx`: `dst <- step(src)`.
 ///
-/// `src`'s layout must cover `bx.grow(1)` (the ghost cells), `dst`'s must
-/// cover `bx`.
+/// Works one x-row at a time: one layout offset per row, then seven row
+/// slices (centre, x±1, y±1, z±1) summed in exactly [`stencil`]'s order,
+/// so the result is bit-identical to the per-cell formula.
+///
+/// Panics unless `src`'s layout covers `bx.grow(1)` (the ghost cells) and
+/// `dst`'s covers `bx`: a row slice past the layout's edge would silently
+/// read the neighbouring row.
 pub fn step_tile(dst: &mut ViewMut<'_>, src: &View<'_>, bx: &Box3, fac: f64) {
-    debug_assert!(src.layout.domain().contains_box(&bx.grow(1)));
-    debug_assert!(dst.layout.domain().contains_box(bx));
-    for iv in bx.iter() {
-        dst.set(iv, stencil(src, iv, fac));
+    assert!(
+        src.layout.domain().contains_box(&bx.grow(1)),
+        "heat: source layout {} does not cover {} and its ghost cells",
+        src.layout.domain(),
+        bx
+    );
+    assert!(
+        dst.layout.domain().contains_box(bx),
+        "heat: destination layout {} does not cover {}",
+        dst.layout.domain(),
+        bx
+    );
+    if bx.is_empty() {
+        return;
+    }
+    let (lo, hi) = (bx.lo(), bx.hi());
+    let nx = bx.size().x() as usize;
+    let (sy, sz) = (src.layout.stride_y(), src.layout.stride_z());
+    let s = src.data;
+    for z in lo.z()..=hi.z() {
+        for y in lo.y()..=hi.y() {
+            let row = IntVect::new(lo.x(), y, z);
+            let o = src.layout.offset(row);
+            let c = &s[o..o + nx];
+            let (xp, xm) = (&s[o + 1..o + 1 + nx], &s[o - 1..o - 1 + nx]);
+            let (yp, ym) = (&s[o + sy..o + sy + nx], &s[o - sy..o - sy + nx]);
+            let (zp, zm) = (&s[o + sz..o + sz + nx], &s[o - sz..o - sz + nx]);
+            let d = dst.layout.offset(row);
+            for (i, out) in dst.data[d..d + nx].iter_mut().enumerate() {
+                let sum = xp[i] + xm[i] + yp[i] + ym[i] + zp[i] + zm[i] - 6.0 * c[i];
+                *out = c[i] + fac * sum;
+            }
+        }
     }
 }
 
@@ -272,6 +309,109 @@ mod tests {
             a.to_dense().unwrap(),
             golden_run(init, n, steps, DEFAULT_FAC)
         );
+    }
+
+    /// The per-cell reference: `stencil` at every cell of `bx`.
+    fn per_cell(dst: &mut ViewMut<'_>, src: &View<'_>, bx: &Box3, fac: f64) {
+        for iv in bx.iter() {
+            dst.set(iv, stencil(src, iv, fac));
+        }
+    }
+
+    /// Run the row kernel and the per-cell reference on the same inputs
+    /// and demand bit-identical outputs (cells outside `bx` included).
+    fn check_row_kernel(src_box: Box3, dst_box: Box3, bx: Box3, seed: u64) {
+        let (sl, dl) = (Layout::new(src_box), Layout::new(dst_box));
+        let mut x = seed | 1;
+        let src: Vec<f64> = (0..sl.len())
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x % 20_000) as f64 / 7.0 - 1000.0
+            })
+            .collect();
+        let init: Vec<f64> = (0..dl.len()).map(|o| -(o as f64)).collect();
+        let (mut rows, mut cells) = (init.clone(), init);
+        let sv = View {
+            data: &src,
+            layout: sl,
+        };
+        step_tile(
+            &mut ViewMut {
+                data: &mut rows,
+                layout: dl,
+            },
+            &sv,
+            &bx,
+            DEFAULT_FAC,
+        );
+        per_cell(
+            &mut ViewMut {
+                data: &mut cells,
+                layout: dl,
+            },
+            &sv,
+            &bx,
+            DEFAULT_FAC,
+        );
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&rows), bits(&cells), "box {bx} in {src_box}");
+    }
+
+    #[test]
+    fn row_kernel_matches_per_cell_on_edge_cases() {
+        let region = Box3::cube(6);
+        let grown = region.grow(1);
+        // The whole region: every row one ghost cell from the layout edge.
+        check_row_kernel(grown, grown, region, 1);
+        // Rows of one cell, and a single cell.
+        check_row_kernel(
+            grown,
+            grown,
+            Box3::new(IntVect::new(2, 0, 0), IntVect::new(2, 5, 5)),
+            2,
+        );
+        check_row_kernel(
+            grown,
+            region,
+            Box3::new(IntVect::splat(5), IntVect::splat(5)),
+            3,
+        );
+        // An empty box writes nothing.
+        check_row_kernel(grown, grown, Box3::EMPTY, 4);
+    }
+
+    proptest::proptest! {
+        /// Random boxes inside random layouts: sub-tiles of a region, with
+        /// the source layout anywhere from exactly `bx.grow(1)` to a few
+        /// cells wider, and the destination a different layout.
+        #[test]
+        fn prop_row_kernel_matches_per_cell(
+            lo in proptest::array::uniform3(-5i64..5),
+            size in proptest::array::uniform3(1i64..7),
+            src_pad_lo in proptest::array::uniform3(0i64..3),
+            src_pad_hi in proptest::array::uniform3(0i64..3),
+            dst_pad in proptest::array::uniform3(0i64..3),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let bx = Box3::new(IntVect(lo), IntVect(lo) + IntVect(size) - IntVect::UNIT);
+            let src_box = Box3::new(
+                bx.lo() - IntVect::UNIT - IntVect(src_pad_lo),
+                bx.hi() + IntVect::UNIT + IntVect(src_pad_hi),
+            );
+            let dst_box = Box3::new(bx.lo() - IntVect(dst_pad), bx.hi() + IntVect(dst_pad));
+            check_row_kernel(src_box, dst_box, bx, seed);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not cover")]
+    fn row_kernel_rejects_a_source_without_ghosts() {
+        let bx = Box3::cube(4);
+        // The source covers bx.grow(1) except its high z face.
+        let src_box = Box3::new(bx.lo() - IntVect::UNIT, bx.hi() + IntVect::new(1, 1, 0));
+        check_row_kernel(src_box, bx, bx, 5);
     }
 
     #[test]

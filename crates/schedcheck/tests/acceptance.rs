@@ -324,11 +324,10 @@ fn exhaustive_enumerates_cluster_ghost_schedules() {
 /// while reaching the same all-green verdict.
 #[test]
 fn cluster_dpor_prunes_message_orders_but_agrees() {
-    let report = Checker::new(programs::cluster_ghost(), CheckSpec::default()).explore(
-        Strategy::Dpor {
+    let report =
+        Checker::new(programs::cluster_ghost(), CheckSpec::default()).explore(Strategy::Dpor {
             max_schedules: 30_000,
-        },
-    );
+        });
     assert!(report.complete);
     assert!(
         report.failure.is_none(),

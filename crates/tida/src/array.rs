@@ -8,7 +8,7 @@
 use crate::box3::Box3;
 use crate::domain::{Decomposition, ExchangeMode, GhostPatch};
 use crate::ivec::IntVect;
-use crate::layout::Layout;
+use crate::layout::{patch_rows, Layout};
 use crate::view::{with_view, with_view_mut};
 use memslab::Slab;
 use std::sync::Arc;
@@ -180,22 +180,12 @@ impl TileArray {
         }
     }
 
-    /// Apply one ghost patch on the host.
+    /// Apply one ghost patch on the host, one x-row at a time.
     pub fn apply_patch(&self, p: &GhostPatch) {
         let dst = &self.regions[p.dst_region];
         let src = &self.regions[p.src_region];
-        if dst.slab.is_virtual() || src.slab.is_virtual() {
-            // Timing-only arrays move no data: skip the index-list build,
-            // which is O(cells) and dominates unbacked exchange cost.
-            return;
-        }
-        let dst_idx = dst.layout.offsets_of(&p.dst_box);
-        let src_idx: Vec<usize> = p
-            .dst_box
-            .iter()
-            .map(|c| src.layout.offset(c - p.shift))
-            .collect();
-        memslab::gather(&dst.slab, &dst_idx, &src.slab, &src_idx);
+        let (nx, rows) = patch_rows(dst.layout, src.layout, p.dst_box, p.shift);
+        memslab::copy_rows(&dst.slab, &src.slab, nx, rows);
     }
 
     /// Value at a valid cell (`None` when virtual or out of domain).

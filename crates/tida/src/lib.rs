@@ -31,7 +31,7 @@ pub use box3::{Box3, CellIter};
 pub use domain::{Decomposition, Domain, ExchangeMode, GhostPatch, RegionSpec};
 pub use exec::{out_of_order_permutation, par_for_each_tile};
 pub use ivec::IntVect;
-pub use layout::Layout;
+pub use layout::{patch_rows, Layout};
 pub use tile::{tiles_of, Tile, TileIter, TileSpec};
 pub use view::{with_dst_src, with_many, with_view, with_view_mut, View, ViewMut};
 

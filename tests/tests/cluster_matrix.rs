@@ -90,7 +90,7 @@ fn run_cluster(nodes: usize, plan: FaultPlan, hazard_checking: bool) -> ClusterR
     cl.sync_to_host(ids[(s % 2) as usize]).expect("final drain");
     let elapsed = cl.finish();
     ClusterRun {
-        result: if s % 2 == 0 { &ua } else { &ub }
+        result: if s.is_multiple_of(2) { &ua } else { &ub }
             .to_dense()
             .expect("backed run"),
         elapsed,
@@ -138,14 +138,14 @@ fn link_reorders_inject_and_cost_time_only() {
 #[test]
 fn link_flaps_inject_and_cost_time_only() {
     let clean = run_cluster(2, FaultPlan::none(), false);
-    let plan = FaultPlan::none().with_seed(17).with_link_fault(
-        LinkFault::on("*").flaps(
+    let plan = FaultPlan::none()
+        .with_seed(17)
+        .with_link_fault(LinkFault::on("*").flaps(
             SimTime::ZERO,
             SimTime::from_us(50),
             SimTime::from_us(25),
             0,
-        ),
-    );
+        ));
     let run = run_cluster(2, plan, false);
     assert_eq!(run.result, golden(), "flaps must never change data");
     assert!(
@@ -176,7 +176,7 @@ fn node_death_failover_is_bit_identical_and_accounted() {
     // Restage accounting to the byte: every migrated region re-adopts one
     // grown host slab per registered array (two arrays here), and the
     // booked bytes are exactly those slabs.
-    let grown_bytes = decomp().region_box(0).grow(1).num_cells() as u64 * 8;
+    let grown_bytes = decomp().region_box(0).grow(1).num_cells() * 8;
     assert_eq!(
         run.stats.migration_restage_loads,
         2 * run.stats.regions_migrated,

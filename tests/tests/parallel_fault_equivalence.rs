@@ -176,7 +176,7 @@ fn cluster_fingerprint(nodes: usize, plan: FaultPlan) -> String {
     }
     cl.sync_to_host(ids[(s % 2) as usize]).unwrap();
     let elapsed = cl.finish();
-    let result = if s % 2 == 0 { &ua } else { &ub }
+    let result = if s.is_multiple_of(2) { &ua } else { &ub }
         .to_dense()
         .expect("backed run");
     format!(
