@@ -32,7 +32,7 @@ use gpu_sim::{
     BufKey, DeviceBuffer, FaultPlan, FaultStats, GpuSystem, HazardCounters, HostBuffer,
     HostMemKind, KernelCost, KernelLaunch, MachineConfig, SimTime, StreamId,
 };
-use memslab::{fnv1a64_f64s, Slab};
+use memslab::{word_digest, Slab};
 use tida_acc::{AccError, Checkpoint, IntegrityKind, RetryPolicy};
 
 use crate::job::{JobId, JobResult, JobSpec};
@@ -706,10 +706,12 @@ impl ServingRuntime {
             }
         }
         let digest = if self.cfg.backed {
+            // Hash the drained bytes themselves, not the slab's digest
+            // memo, so the golden check reads every byte the client gets.
             JobSpec::combine_digests(
                 j.host_slabs
                     .iter()
-                    .map(|s| s.with(|data| fnv1a64_f64s(data.expect("backed slab has data")))),
+                    .map(|s| s.with(|data| word_digest(data.expect("backed slab has data")))),
             )
         } else {
             // Timing-only platform: no bytes moved, report the reference.
@@ -1025,6 +1027,41 @@ mod tests {
         ServingConfig {
             max_active: 2,
             ..ServingConfig::default()
+        }
+    }
+
+    /// Region lengths off every vector width run the tails of the seeding
+    /// and digest loops. Each result equals the golden digest, and the
+    /// golden digest equals a reference built element by element.
+    #[test]
+    fn odd_length_jobs_match_an_elementwise_reference() {
+        let mut rt = ServingRuntime::new(tiny_cfg());
+        let mut jobs = Vec::new();
+        for len in [1, 7, 8, 9, 41, 4097] {
+            for regions in [1, 3] {
+                for steps in [0, 1, 3] {
+                    let seed = 0x0dd ^ ((len as u64) << 8) ^ ((regions as u64) << 4) ^ steps;
+                    let spec = JobSpec::new(jobs.len() as u32 % 3, regions, len, steps, seed);
+                    jobs.push((rt.submit(spec.clone()).unwrap(), spec));
+                }
+            }
+        }
+        rt.run_until_idle();
+        assert_eq!(rt.results().len(), jobs.len());
+        for (id, spec) in &jobs {
+            let reference = JobSpec::combine_digests((0..spec.regions).map(|r| {
+                let region: Vec<f64> = (0..spec.region_len)
+                    .map(|i| (0..spec.steps).fold(spec.seed_value(r, i), |x, _| spec.step_value(x)))
+                    .collect();
+                word_digest(&region)
+            }));
+            assert_eq!(spec.golden_digest(), reference, "golden digest of {spec:?}");
+            let result = rt
+                .results()
+                .iter()
+                .find(|r| r.job == *id)
+                .expect("job finished");
+            assert_eq!(result.outcome, Ok(reference), "runtime result of {spec:?}");
         }
     }
 
