@@ -79,7 +79,7 @@ use memslab::Slab;
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
-use tida::{Box3, Decomposition, GhostPatch, IntVect, Layout, TileArray};
+use tida::{Box3, Decomposition, IntVect, Layout, TileArray};
 use tida_acc::{
     AccStats, ArrayId, Checkpoint, CheckpointError, HealthMonitor, HealthState, RetryPolicy,
 };
@@ -620,14 +620,16 @@ impl Cluster {
             .writes(ddev.into())
             .exec(move || {
                 let wrefs = [(&dslab, dl)];
-                let mut rrefs = vec![(&sslab, sl)];
-                if let Some((aslab, al)) = &aux_pair {
-                    rrefs.push((aslab, *al));
-                }
-                tida::with_many(&wrefs, &rrefs, |ws, rs| {
+                let run = |ws: &mut [tida::ViewMut<'_>], rs: &[tida::View<'_>]| {
                     let (first, _) = ws.split_first_mut().expect("one write view");
                     f(first, &rs[0], rs.get(1), bx);
-                });
+                };
+                match &aux_pair {
+                    Some((aslab, al)) => {
+                        tida::with_many(&wrefs, &[(&sslab, sl), (aslab, *al)], run)
+                    }
+                    None => tida::with_many(&wrefs, &[(&sslab, sl)], run),
+                };
             });
         if let Some(a) = aux {
             launch = launch.reads(self.arrays[a.0].dev[r].into());
@@ -729,9 +731,9 @@ impl Cluster {
         // completion time, probed without blocking the simulated host;
         // probing also forces the copy's data effect, so the driver-side
         // gather below reads fresh host data.
-        let patches: Vec<GhostPatch> = self.arrays[src.0].array.patches().to_vec();
+        let patches = self.arrays[src.0].array.patches_arc();
         let mut send_at: Vec<Option<SimTime>> = vec![None; regions];
-        for p in &patches {
+        for p in patches.iter() {
             let (sr, dr) = (p.src_region, p.dst_region);
             let src_node = self.node_of(sr);
             let dst_node = self.node_of(dr);

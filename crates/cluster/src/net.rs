@@ -149,7 +149,8 @@ pub struct NetworkModel {
     /// Intra-node links use (n, n); local paths keep no queue.
     link_free: HashMap<(usize, usize), SimTime>,
     /// Per-link-name message ordinal (advanced once per message, never per
-    /// retransmit, so drops do not shift later draws).
+    /// retransmit, so drops do not shift later draws). Kept only when the
+    /// plan has link faults, the only readers of the ordinal.
     ordinals: HashMap<String, u64>,
     stats: NetStats,
 }
@@ -214,7 +215,14 @@ impl NetworkModel {
         } else {
             LinkClass::Intra
         };
-        let link = Self::link_name(src_node, dst_node, same_device);
+        // Only link faults read the link name and the message ordinal, so a
+        // fault-free fabric builds neither.
+        let faulty = !self.faults.is_empty();
+        let link = if faulty {
+            Self::link_name(src_node, dst_node, same_device)
+        } else {
+            String::new()
+        };
         let (latency, bytes_per_us) = self.class_params(class);
         // Serialization time: bytes / bandwidth, floored at 1 ns.
         let ser_ns = ((bytes.max(1)).saturating_mul(1_000) / bytes_per_us.max(1)).max(1);
@@ -275,11 +283,13 @@ impl NetworkModel {
         // Drops: the worst applicable fault decides how many leading
         // attempts die; each costs one serialization plus the retransmit
         // timeout before the clean attempt goes out.
-        let ordinal = {
+        let ordinal = if faulty {
             let o = self.ordinals.entry(link.clone()).or_insert(0);
             let v = *o;
             *o += 1;
             v
+        } else {
+            0
         };
         let drops = self
             .faults

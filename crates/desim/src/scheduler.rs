@@ -39,11 +39,13 @@
 //! * the ready queue is a binary heap keyed `(ready_ns, submission idx)`;
 //!   with no oracle installed a pop is O(log n) with no allocation, and the
 //!   oracle candidate view is built lazily only at real decision points
-//!   (>1 runnable op) from a reused scratch buffer;
+//!   (>1 runnable op) in a reused scratch buffer;
 //! * span recording sits behind a [`TraceLevel`]: `Off` records nothing,
 //!   `Counters` keeps per-engine busy/op tallies, `Full` records `Sym`-keyed
 //!   spans (still no string allocation; strings materialize only when a
-//!   [`Trace`] is exported).
+//!   [`Trace`] is exported);
+//! * engine names are interned too, so building a scheduler allocates no
+//!   per-engine `String` either.
 
 use crate::intern::{intern_static, Sym};
 use crate::time::SimTime;
@@ -282,12 +284,28 @@ impl Op {
     }
 }
 
+/// An engine's server slots: `servers[base..base + capacity]`.
+#[derive(Clone, Copy)]
 struct Engine {
-    /// Earliest time each server slot becomes free.
-    servers: Vec<SimTime>,
-    /// Last op executed on each server (for critical-path attribution).
-    last_on_server: Vec<Option<usize>>,
+    base: usize,
+    capacity: usize,
 }
+
+/// One server slot of an engine.
+#[derive(Clone, Copy)]
+struct Server {
+    /// Earliest time the slot becomes free.
+    free: SimTime,
+    /// Last op executed on it (for critical-path attribution).
+    last: Option<usize>,
+}
+
+/// Initial arena sizes for [`Scheduler::new`]. A schedule explorer builds a
+/// fresh small system per explored schedule, so starting the arenas at a
+/// small program's size spares each one the early doublings; larger
+/// programs grow past them as before.
+const ENGINES_HINT: usize = 8;
+const OPS_HINT: usize = 32;
 
 /// Sentinel for "no edge" in the dependents edge arena.
 const NO_EDGE: u32 = u32::MAX;
@@ -347,7 +365,9 @@ pub struct CriticalStep {
 #[derive(Default)]
 pub struct Scheduler {
     engines: Vec<Engine>,
-    engine_names: Vec<String>,
+    /// Server slots of every engine, in registration order.
+    servers: Vec<Server>,
+    engine_names: Vec<Sym>,
     ops: Vec<OpNode>,
     /// Ready ops as (ready_time_ns, op_index); min-heap via `Reverse`.
     ready: BinaryHeap<Reverse<(u64, usize)>>,
@@ -367,24 +387,42 @@ pub struct Scheduler {
     /// Dependents adjacency as a linked edge arena:
     /// `(dependent op, next edge)` chained from `OpNode::dependents_head`.
     dep_edges: Vec<(u32, u32)>,
-    /// Reused buffer for draining the heap at oracle decision points.
-    cand_scratch: Vec<(u64, usize)>,
+    /// Reused candidate buffer for oracle decision points. Always empty
+    /// between decisions, so no borrow outlives one (see [`recycle`]).
+    cand_scratch: Vec<Candidate<'static>>,
     /// Admission policy override; `None` keeps the deterministic FIFO order.
     oracle: Option<Rc<RefCell<dyn ScheduleOracle>>>,
 }
 
 impl Scheduler {
     pub fn new() -> Self {
-        Self::default()
+        Scheduler {
+            engines: Vec::with_capacity(ENGINES_HINT),
+            servers: Vec::with_capacity(ENGINES_HINT),
+            engine_names: Vec::with_capacity(ENGINES_HINT),
+            counters: Vec::with_capacity(ENGINES_HINT),
+            ops: Vec::with_capacity(OPS_HINT),
+            ready: BinaryHeap::with_capacity(OPS_HINT),
+            fp_arena: Vec::with_capacity(OPS_HINT),
+            dep_edges: Vec::with_capacity(OPS_HINT),
+            ..Self::default()
+        }
     }
 
     /// Register an engine with `capacity` parallel servers (>= 1).
-    pub fn add_engine(&mut self, name: impl Into<String>, capacity: usize) -> EngineId {
+    pub fn add_engine(&mut self, name: impl Into<Sym>, capacity: usize) -> EngineId {
         assert!(capacity >= 1, "engine capacity must be at least 1");
         self.engines.push(Engine {
-            servers: vec![SimTime::ZERO; capacity],
-            last_on_server: vec![None; capacity],
+            base: self.servers.len(),
+            capacity,
         });
+        self.servers.extend(std::iter::repeat_n(
+            Server {
+                free: SimTime::ZERO,
+                last: None,
+            },
+            capacity,
+        ));
         self.engine_names.push(name.into());
         self.counters.push(EngineCounters::default());
         EngineId(self.engines.len() - 1)
@@ -548,41 +586,31 @@ impl Scheduler {
         };
         // Real decision point: materialize the sorted candidate view.
         // Heap pops come out in exactly the (ready, submission) order the
-        // oracle contract promises. The drain buffer is reused across
-        // decisions; the `Candidate` view borrows ops/arena in place.
-        let mut cands = std::mem::take(&mut self.cand_scratch);
-        debug_assert!(cands.is_empty());
-        while let Some(Reverse(c)) = self.ready.pop() {
-            cands.push(c);
+        // oracle contract promises. The view borrows ops/arena in place, and
+        // its buffer is reused across decisions.
+        let mut view = recycle(std::mem::take(&mut self.cand_scratch));
+        while let Some(Reverse((ns, i))) = self.ready.pop() {
+            let o = &self.ops[i];
+            view.push(Candidate {
+                op: OpId(i),
+                ready: SimTime::from_ns(ns),
+                engine: o.engine,
+                label: o.label,
+                category: o.category,
+                footprint: &self.fp_arena[o.fp_start as usize..(o.fp_start + o.fp_len) as usize],
+            });
         }
-        let view: Vec<Candidate<'_>> = cands
-            .iter()
-            .map(|&(ns, i)| {
-                let o = &self.ops[i];
-                Candidate {
-                    op: OpId(i),
-                    ready: SimTime::from_ns(ns),
-                    engine: o.engine,
-                    label: o.label,
-                    category: o.category,
-                    footprint: &self.fp_arena
-                        [o.fp_start as usize..(o.fp_start + o.fp_len) as usize],
-                }
-            })
-            .collect();
         let choice = oracle.borrow_mut().choose(&view);
         assert!(
-            choice < cands.len(),
+            choice < view.len(),
             "oracle chose {choice} of {}",
-            cands.len()
+            view.len()
         );
-        drop(view);
-        let (_, idx) = cands.swap_remove(choice);
-        for &c in &cands {
-            self.ready.push(Reverse(c));
+        let idx = view[choice].op.0;
+        for c in view.iter().filter(|c| c.op.0 != idx) {
+            self.ready.push(Reverse((c.ready.as_ns(), c.op.0)));
         }
-        cands.clear();
-        self.cand_scratch = cands;
+        self.cand_scratch = recycle(view);
         Some(idx)
     }
 
@@ -594,13 +622,13 @@ impl Scheduler {
         let (start, server) = match self.ops[idx].engine {
             None => (self.ops[idx].ready_time, 0),
             Some(EngineId(e)) => {
-                let servers = &mut self.engines[e].servers;
-                let (srv, _) = servers
+                let Engine { base, capacity } = self.engines[e];
+                let (srv, slot) = self.servers[base..base + capacity]
                     .iter()
                     .enumerate()
-                    .min_by_key(|(i, t)| (**t, *i))
+                    .min_by_key(|(i, s)| (s.free, *i))
                     .expect("engine has at least one server");
-                let start = self.ops[idx].ready_time.max(servers[srv]);
+                let start = self.ops[idx].ready_time.max(slot.free);
                 (start, srv)
             }
         };
@@ -608,7 +636,7 @@ impl Scheduler {
         // Attribute the delay: engine contention, a dependency, or the host.
         self.ops[idx].bound = match self.ops[idx].engine {
             Some(EngineId(e)) if start > self.ops[idx].ready_time => {
-                match self.engines[e].last_on_server[server] {
+                match self.servers[self.engines[e].base + server].last {
                     Some(prev) => Bound::Engine(OpId(prev)),
                     None => Bound::Host,
                 }
@@ -622,8 +650,10 @@ impl Scheduler {
             },
         };
         if let Some(EngineId(e)) = self.ops[idx].engine {
-            self.engines[e].servers[server] = end;
-            self.engines[e].last_on_server[server] = Some(idx);
+            self.servers[self.engines[e].base + server] = Server {
+                free: end,
+                last: Some(idx),
+            };
             if self.level >= TraceLevel::Counters {
                 self.counters[e].ops += 1;
                 self.counters[e].busy_ns += self.ops[idx].duration.as_ns();
@@ -742,10 +772,25 @@ impl Scheduler {
     /// [`Scheduler::raw_spans`] on hot paths.
     pub fn trace(&self) -> Trace {
         Trace {
-            engine_names: self.engine_names.clone(),
+            engine_names: self
+                .engine_names
+                .iter()
+                .map(|n| n.as_str().to_string())
+                .collect(),
             spans: self.spans.iter().map(span_of_raw).collect(),
         }
     }
+}
+
+/// Empty a candidate buffer and hand back its allocation under a new
+/// lifetime. `Vec`'s in-place `into_iter().map().collect()` keeps the
+/// allocation because both element types have the same layout, and the
+/// buffer holds no element, so no borrow crosses lifetimes.
+fn recycle<'b>(mut v: Vec<Candidate<'_>>) -> Vec<Candidate<'b>> {
+    v.clear();
+    v.into_iter()
+        .map(|_| unreachable!("buffer is empty"))
+        .collect()
 }
 
 /// Materialize one stored span into the public string-labelled form.

@@ -205,12 +205,20 @@ fn buf_coords(key: BufKey) -> (usize, usize) {
 
 impl HazardTracker {
     pub(crate) fn new() -> Self {
+        // Room for a small program's streams up front, so a freshly built
+        // system does not regrow these per new stream.
+        const COMPS_HINT: usize = 8;
+        let comps = || {
+            let mut v = Vec::with_capacity(COMPS_HINT);
+            v.push(0);
+            v
+        };
         HazardTracker {
             deep: false,
             clocks: Vec::new(),
             stride: 1,
-            host: vec![0],
-            scratch: vec![0],
+            host: comps(),
+            scratch: comps(),
             bufs: [Vec::new(), Vec::new(), Vec::new()],
             counters: HazardCounters::default(),
             records: Vec::new(),

@@ -251,6 +251,10 @@ pub struct GpuSystem {
     cross_tenant_touches: u64,
 }
 
+/// Access-log room reserved when hazard checking turns on: a small
+/// program's worth, so a fresh system does not regrow it op by op.
+const ACCESSES_HINT: usize = 64;
+
 /// Transfer-label kinds for [`GpuSystem::xfer_labels`].
 mod xk {
     pub const H2D: u64 = 1;
@@ -284,22 +288,22 @@ impl GpuSystem {
         let mut sched = Scheduler::new();
         let mut devices = Vec::with_capacity(num_devices);
         let mut eng_host = EngineId(0);
-        for d in 0..num_devices {
-            let prefix = if num_devices == 1 {
-                String::new()
+        // Engine names are interned. A single-device platform keeps the bare
+        // lane names; with several devices every lane gets a `d<i>.` prefix.
+        let name = |d: usize, lane: Sym| {
+            if num_devices == 1 {
+                lane
             } else {
-                format!("d{d}.")
-            };
-            let eng_h2d = sched.add_engine(
-                format!("{prefix}h2d"),
-                cfg.copy_engines_per_direction.max(1),
-            );
-            let eng_d2h = sched.add_engine(
-                format!("{prefix}d2h"),
-                cfg.copy_engines_per_direction.max(1),
-            );
+                intern_fmt(format_args!("d{d}.{lane}"))
+            }
+        };
+        for d in 0..num_devices {
+            let eng_h2d =
+                sched.add_engine(name(d, csym!("h2d")), cfg.copy_engines_per_direction.max(1));
+            let eng_d2h =
+                sched.add_engine(name(d, csym!("d2h")), cfg.copy_engines_per_direction.max(1));
             let eng_compute =
-                sched.add_engine(format!("{prefix}compute"), cfg.concurrent_kernels.max(1));
+                sched.add_engine(name(d, csym!("compute")), cfg.concurrent_kernels.max(1));
             devices.push(DeviceState {
                 eng_h2d,
                 eng_d2h,
@@ -307,7 +311,7 @@ impl GpuSystem {
                 alloc: DeviceAllocator::new(cfg.device_mem_bytes),
             });
             if d == 0 {
-                eng_host = sched.add_engine("host", 1);
+                eng_host = sched.add_engine(csym!("host"), 1);
             }
         }
         let fault = FaultState::new(cfg.faults.clone());
@@ -414,6 +418,10 @@ impl GpuSystem {
     /// Enable access recording for [`GpuSystem::check_hazards`].
     pub fn set_hazard_checking(&mut self, on: bool) {
         self.hazard_checking = on;
+        if on {
+            // Every enqueue records a few accesses from here on.
+            self.accesses.reserve(ACCESSES_HINT);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -721,8 +729,7 @@ impl GpuSystem {
             self.last_block = self.sched.last_finished();
         }
         self.host_clock = self.host_clock.max(self.sched.max_end());
-        let lasts: Vec<OpId> = self.streams.iter().filter_map(|s| s.last).collect();
-        for op in lasts {
+        for op in self.streams.iter().filter_map(|s| s.last) {
             self.hazards.host_joins(op);
         }
     }
@@ -759,7 +766,7 @@ impl GpuSystem {
         match self.eng_nic {
             Some(e) => e,
             None => {
-                let e = self.sched.add_engine("nic", 1);
+                let e = self.sched.add_engine(csym!("nic"), 1);
                 self.eng_nic = Some(e);
                 e
             }

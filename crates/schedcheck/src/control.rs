@@ -1,7 +1,8 @@
 //! The controllable [`ScheduleOracle`]: forced decision prefixes, FIFO or
-//! seeded-random fallback, and a full decision log for replay/shrinking.
+//! seeded-random fallback, a full decision log for replay/shrinking, and
+//! the run's trace request.
 
-use desim::{Candidate, ScheduleOracle};
+use desim::{Candidate, ScheduleOracle, Sym};
 
 /// xorshift64* — tiny deterministic PRNG so the random-walk tier needs no
 /// external crate.
@@ -40,13 +41,14 @@ pub enum Fallback {
 
 /// Schedule-relevant identity of one runnable op, captured at a decision
 /// point. `op` is the scheduler's submission index, which is stable across
-/// replays of the same program.
+/// replays of the same program. Label and category stay interned, so
+/// logging a candidate allocates at most its footprint.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpSig {
     pub op: usize,
     pub engine: Option<usize>,
-    pub label: String,
-    pub category: String,
+    pub label: Sym,
+    pub category: Sym,
     pub footprint: Vec<(u64, bool)>,
 }
 
@@ -55,8 +57,8 @@ impl OpSig {
         OpSig {
             op: c.op.0,
             engine: c.engine.map(|e| e.0),
-            label: c.label.to_string(),
-            category: c.category.to_string(),
+            label: c.label,
+            category: c.category,
             footprint: c.footprint.to_vec(),
         }
     }
@@ -101,6 +103,11 @@ pub struct Decision {
 /// `forced[i]` when present (clamped to the candidate count, so stale forced
 /// prefixes from a shrinking pass stay in range), then the fallback policy.
 /// Every consulted decision is logged for replay.
+///
+/// The oracle also carries the explorer's trace request: a program under
+/// test reads [`ControlOracle::tracing`] before it runs and records a span
+/// trace only when asked. Exploration runs untraced; a counterexample's
+/// trace comes from a traced replay of its forced vector.
 #[derive(Debug)]
 pub struct ControlOracle {
     forced: Vec<usize>,
@@ -109,21 +116,38 @@ pub struct ControlOracle {
     /// decision and propagated along the tail: a sleeping op is covered by
     /// an already-explored sibling subtree, so the fallback avoids it.
     sleep: Vec<OpSig>,
+    /// Whether the program should record a span trace.
+    trace: bool,
     pub log: Vec<Decision>,
 }
 
 impl ControlOracle {
+    /// A traced oracle; see [`ControlOracle::with_tracing`].
     pub fn new(forced: Vec<usize>, fallback: Fallback) -> Self {
         Self::with_sleep(forced, fallback, Vec::new())
     }
 
     pub fn with_sleep(forced: Vec<usize>, fallback: Fallback, sleep: Vec<OpSig>) -> Self {
         ControlOracle {
+            // A replay consults about as many decisions as it forces.
+            log: Vec::with_capacity(forced.len()),
             forced,
             fallback,
             sleep,
-            log: Vec::new(),
+            trace: true,
         }
+    }
+
+    /// Ask the program for a span trace (`true`, the default) or not.
+    pub fn with_tracing(mut self, on: bool) -> Self {
+        self.trace = on;
+        self
+    }
+
+    /// Whether the program should record a span trace. Programs must honour
+    /// it: tracing changes what is recorded, never the schedule.
+    pub fn tracing(&self) -> bool {
+        self.trace
     }
 }
 
@@ -166,8 +190,8 @@ mod tests {
         OpSig {
             op,
             engine,
-            label: String::new(),
-            category: String::new(),
+            label: Sym::EMPTY,
+            category: Sym::EMPTY,
             footprint: fp.to_vec(),
         }
     }

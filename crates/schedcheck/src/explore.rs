@@ -10,7 +10,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use desim::{SimTime, Trace};
+use desim::{SimTime, Sym, Trace};
 use tida_acc::AccStats;
 
 use crate::control::{ControlOracle, Decision, Fallback, OpSig, XorShift};
@@ -20,7 +20,7 @@ use crate::control::{ControlOracle, Decision, Fallback, OpSig, XorShift};
 pub struct RunOutcome {
     /// Final host-visible payload (dense field contents, concatenated).
     pub result: Vec<f64>,
-    /// FNV-1a digest of `result`; bit-identity is compared on this.
+    /// [`fnv_digest`] of `result`; bit-identity is compared on this.
     pub digest: u64,
     /// Total findings from the vector-clock hazard tracker.
     pub hazards: u64,
@@ -28,26 +28,28 @@ pub struct RunOutcome {
     pub integrity_detected: u64,
     /// Accelerator counters, when the program runs through TileAcc/MultiAcc.
     pub stats: Option<AccStats>,
-    /// Recorded span trace (programs must enable tracing).
+    /// Recorded span trace; empty unless the oracle asked for one (see
+    /// [`ControlOracle::tracing`]).
     pub trace: Trace,
     /// The oracle decision log: full candidate sets + chosen indices.
     pub decisions: Vec<Decision>,
     pub makespan: SimTime,
 }
 
-/// FNV-1a over the raw f64 bits: cheap, deterministic, order-sensitive.
+/// FNV-style digest over the raw f64 bits, one xor-multiply per 64-bit
+/// word: cheap, deterministic, order-sensitive. For a fixed running state
+/// each step is a bijection of the word (xor, then multiply by an odd
+/// prime), so changing any single element always changes the digest.
 pub fn fnv_digest(data: &[f64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for v in data {
-        for b in v.to_bits().to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+    data.iter().fold(0xcbf2_9ce4_8422_2325, |h: u64, v| {
+        (h ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
-/// A schedule-controllable program under test.
+/// A schedule-controllable program under test. It installs the oracle on
+/// the system it builds, records a span trace only when
+/// [`ControlOracle::tracing`] asks for one, and leaves the decision log in
+/// the oracle (the checker moves it into [`RunOutcome::decisions`]).
 pub type Program = Box<dyn Fn(Rc<RefCell<ControlOracle>>) -> RunOutcome>;
 
 /// Which observables must be schedule-invariant.
@@ -98,7 +100,7 @@ pub struct Failure {
     pub reason: String,
     /// Decision log of the failing run.
     pub decisions: Vec<Decision>,
-    /// Span trace of the failing run.
+    /// Span trace of the failing run, from a traced replay of `forced`.
     pub trace: Trace,
 }
 
@@ -114,15 +116,12 @@ impl Failure {
                 .candidates
                 .iter()
                 .map(|c| {
-                    format!(
-                        "{}(op{})",
-                        if c.label.is_empty() {
-                            &c.category
-                        } else {
-                            &c.label
-                        },
-                        c.op
-                    )
+                    let name = if c.label == Sym::EMPTY {
+                        c.category
+                    } else {
+                        c.label
+                    };
+                    format!("{name}(op{})", c.op)
                 })
                 .collect();
             out.push_str(&format!(
@@ -175,9 +174,15 @@ impl Checker {
         Checker { program, spec }
     }
 
-    /// Run the program once under the given oracle configuration.
+    /// Run the program once under the given oracle configuration, traced.
     pub fn run(&self, forced: &[usize], fallback: Fallback) -> RunOutcome {
-        self.run_with_sleep(forced, fallback, Vec::new())
+        self.run_with_sleep(forced, fallback, Vec::new(), true)
+    }
+
+    /// One untraced run, as exploration and shrinking use: they compare
+    /// outcomes and never look at spans.
+    fn run_untraced(&self, forced: &[usize], fallback: Fallback) -> RunOutcome {
+        self.run_with_sleep(forced, fallback, Vec::new(), false)
     }
 
     fn run_with_sleep(
@@ -185,14 +190,16 @@ impl Checker {
         forced: &[usize],
         fallback: Fallback,
         sleep: Vec<OpSig>,
+        trace: bool,
     ) -> RunOutcome {
-        let oracle = Rc::new(RefCell::new(ControlOracle::with_sleep(
-            forced.to_vec(),
-            fallback,
-            sleep,
-        )));
+        let oracle = Rc::new(RefCell::new(
+            ControlOracle::with_sleep(forced.to_vec(), fallback, sleep).with_tracing(trace),
+        ));
         let mut out = (self.program)(Rc::clone(&oracle));
-        out.decisions = oracle.borrow().log.clone();
+        // Take the log only now that the program has returned: a wrapping
+        // program may still read it (say, its length) after the inner
+        // program finishes, so no program may take it itself.
+        out.decisions = std::mem::take(&mut oracle.borrow_mut().log);
         out
     }
 
@@ -288,31 +295,31 @@ impl Checker {
             } else {
                 Vec::new()
             };
-            let out = self.run_with_sleep(&forced, Fallback::Fifo, tail_sleep.clone());
+            let mut out = self.run_with_sleep(&forced, Fallback::Fifo, tail_sleep.clone(), false);
             schedules += 1;
             max_decision_points = max_decision_points.max(out.decisions.len());
 
-            match &golden {
-                None => golden = Some(out.clone()),
-                Some(g) => {
-                    if let Some(reason) = self.violation(g, &out) {
-                        let forced_full: Vec<usize> =
-                            out.decisions.iter().map(|d| d.chosen).collect();
-                        return Report {
-                            schedules,
-                            complete: false,
-                            max_decision_points,
-                            failure: Some(self.fail(g, forced_full, reason)),
-                        };
-                    }
+            if let Some(g) = &golden {
+                if let Some(reason) = self.violation(g, &out) {
+                    let forced_full: Vec<usize> = out.decisions.iter().map(|d| d.chosen).collect();
+                    return Report {
+                        schedules,
+                        complete: false,
+                        max_decision_points,
+                        failure: Some(self.fail(g, forced_full, reason)),
+                    };
                 }
             }
+            let decisions = std::mem::take(&mut out.decisions);
+            // The first run is the golden one; nothing reads its decisions.
+            golden.get_or_insert(out);
 
             // Materialise the decision points this run exposed beyond the
             // already-known path, propagating the tail sleep set exactly as
-            // the oracle did.
+            // the oracle did. New nodes take their candidate lists over
+            // from the run's own log.
             let mut sleep_cur = tail_sleep;
-            for d in out.decisions.iter().skip(path.len()) {
+            for d in decisions.into_iter().skip(path.len()) {
                 let sleep_entry = sleep_cur.clone();
                 if dpor {
                     let sig = &d.candidates[d.chosen];
@@ -322,7 +329,7 @@ impl Checker {
                 let mut tried = vec![false; n];
                 tried[d.chosen] = true;
                 path.push(Node {
-                    cands: d.candidates.clone(),
+                    cands: d.candidates,
                     current: d.chosen,
                     tried,
                     sleep_entry,
@@ -364,14 +371,14 @@ impl Checker {
     }
 
     fn random_walk(&self, seed: u64, budget: u64) -> Report {
-        let golden = self.run(&[], Fallback::Fifo);
+        let golden = self.run_untraced(&[], Fallback::Fifo);
         let mut schedules = 1;
         let mut max_decision_points = golden.decisions.len();
         for k in 0..budget {
             let walk_seed = seed
                 .wrapping_add(k.wrapping_mul(0x9E37_79B9_7F4A_7C15))
                 .max(1);
-            let out = self.run(&[], Fallback::Random(XorShift::new(walk_seed)));
+            let out = self.run_untraced(&[], Fallback::Random(XorShift::new(walk_seed)));
             schedules += 1;
             max_decision_points = max_decision_points.max(out.decisions.len());
             if let Some(reason) = self.violation(&golden, &out) {
@@ -394,8 +401,8 @@ impl Checker {
 
     /// Greedy delta-debugging of a failing forced vector: zero out choices
     /// from the tail forward while the violation persists, then drop the
-    /// all-FIFO tail. The shrunk vector is re-run to produce the final
-    /// (still-failing) counterexample.
+    /// all-FIFO tail. The shrinking runs are untraced; the shrunk vector is
+    /// re-run traced to produce the final (still-failing) counterexample.
     fn shrink(&self, golden: &RunOutcome, mut forced: Vec<usize>, reason: String) -> Failure {
         loop {
             let mut changed = false;
@@ -405,7 +412,7 @@ impl Checker {
                 }
                 let saved = forced[i];
                 forced[i] = 0;
-                let out = self.run(&forced, Fallback::Fifo);
+                let out = self.run_untraced(&forced, Fallback::Fifo);
                 if self.violation(golden, &out).is_some() {
                     changed = true;
                 } else {
@@ -424,8 +431,8 @@ impl Checker {
         Failure {
             forced,
             reason,
-            decisions: out.decisions.clone(),
-            trace: out.trace.clone(),
+            decisions: out.decisions,
+            trace: out.trace,
         }
     }
 }
@@ -463,4 +470,35 @@ pub fn stats_violation(golden: &AccStats, s: &AccStats) -> Option<String> {
         ));
     }
     None
+}
+
+#[cfg(test)]
+mod tests {
+    use super::fnv_digest;
+
+    const SAMPLE: [f64; 5] = [1.5, -0.0, 3.25e-300, f64::MAX, 7.0];
+
+    #[test]
+    fn any_single_bit_flip_changes_the_digest() {
+        let base = fnv_digest(&SAMPLE);
+        for i in 0..SAMPLE.len() {
+            for bit in 0..64 {
+                let mut v = SAMPLE;
+                v[i] = f64::from_bits(v[i].to_bits() ^ (1 << bit));
+                assert_ne!(fnv_digest(&v), base, "element {i}, bit {bit}");
+            }
+        }
+    }
+
+    #[test]
+    fn swapping_unequal_elements_changes_the_digest() {
+        let base = fnv_digest(&SAMPLE);
+        for i in 0..SAMPLE.len() {
+            for j in i + 1..SAMPLE.len() {
+                let mut v = SAMPLE;
+                v.swap(i, j);
+                assert_ne!(fnv_digest(&v), base, "swap {i} <-> {j}");
+            }
+        }
+    }
 }

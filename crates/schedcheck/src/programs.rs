@@ -1,13 +1,16 @@
 //! Schedule-controllable programs under test: raw stream programs at the
 //! `gpu-sim` level and full TileAcc step programs, each packaged as a
 //! [`Program`] closure the explorer can replay under any oracle.
+//!
+//! Every program records a span trace only when the oracle asks
+//! ([`ControlOracle::tracing`]); otherwise it returns an empty [`Trace`].
 
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
 
 use cluster::{Cluster, ClusterConfig};
-use desim::ScheduleOracle;
+use desim::{ScheduleOracle, Trace};
 use gpu_sim::{FaultPlan, GpuSystem, HostMemKind, KernelLaunch, MachineConfig};
 use kernels::{heat, init};
 use tida::{tiles_of, Box3, Decomposition, Domain, ExchangeMode, RegionSpec, TileArray, TileSpec};
@@ -16,8 +19,22 @@ use tida_acc::{AccOptions, SlotPolicy, TileAcc};
 use crate::control::ControlOracle;
 use crate::explore::{fnv_digest, Program, RunOutcome};
 
-fn install(gpu: &mut GpuSystem, oracle: Rc<RefCell<ControlOracle>>) {
+/// Install the oracle on `gpu` and switch span tracing to its request.
+/// Returns whether this run is traced.
+fn install(gpu: &mut GpuSystem, oracle: Rc<RefCell<ControlOracle>>) -> bool {
+    let traced = oracle.borrow().tracing();
+    gpu.set_tracing(traced);
     gpu.set_schedule_oracle(Some(oracle as Rc<RefCell<dyn ScheduleOracle>>));
+    traced
+}
+
+/// The run's trace if it was asked for, else an empty one.
+fn trace_if(traced: bool, trace: impl FnOnce() -> Trace) -> Trace {
+    if traced {
+        trace()
+    } else {
+        Trace::default()
+    }
 }
 
 /// Two independent ghost-exchange pipelines: per stream, H2D a halo slab,
@@ -28,9 +45,8 @@ pub fn ghost_exchange() -> Program {
     Box::new(|oracle| {
         const LEN: usize = 64;
         let mut gpu = GpuSystem::new(MachineConfig::k40m());
-        gpu.set_tracing(true);
         gpu.set_hazard_checking(true);
-        install(&mut gpu, oracle);
+        let traced = install(&mut gpu, oracle);
 
         let mut hosts = Vec::new();
         for s in 0..2u64 {
@@ -79,7 +95,7 @@ pub fn ghost_exchange() -> Program {
             hazards: gpu.hazard_counters().total(),
             integrity_detected: gpu.integrity_stats().detected,
             stats: None,
-            trace: gpu.trace(),
+            trace: trace_if(traced, || gpu.trace()),
             decisions: Vec::new(),
             makespan,
         }
@@ -96,9 +112,8 @@ pub fn racy_ghost(bug: bool) -> Program {
     Box::new(move |oracle| {
         const LEN: usize = 32;
         let mut gpu = GpuSystem::new(MachineConfig::k40m());
-        gpu.set_tracing(true);
         gpu.set_hazard_checking(true);
-        install(&mut gpu, oracle);
+        let traced = install(&mut gpu, oracle);
 
         let h_x = gpu.malloc_host(LEN, HostMemKind::Pinned);
         gpu.host_slab(h_x).with_mut(|d| {
@@ -177,7 +192,7 @@ pub fn racy_ghost(bug: bool) -> Program {
             hazards: gpu.hazard_counters().total(),
             integrity_detected: gpu.integrity_stats().detected,
             stats: None,
-            trace: gpu.trace(),
+            trace: trace_if(traced, || gpu.trace()),
             decisions: Vec::new(),
             makespan,
         }
@@ -229,9 +244,8 @@ pub fn heat_overlap(cfg: HeatConfig) -> Program {
             plan = plan.with_transient(cfg.transient_rate);
         }
         let mut gpu = GpuSystem::new(MachineConfig::k40m().with_faults(plan));
-        gpu.set_tracing(true);
         gpu.set_hazard_checking(true);
-        install(&mut gpu, oracle);
+        let traced = install(&mut gpu, oracle);
 
         let opts = AccOptions::paper()
             .with_max_slots(3)
@@ -291,7 +305,7 @@ pub fn heat_overlap(cfg: HeatConfig) -> Program {
             hazards,
             integrity_detected: stats.integrity_detected,
             stats: Some(stats),
-            trace: acc.gpu().trace(),
+            trace: trace_if(traced, || acc.gpu().trace()),
             decisions: Vec::new(),
             makespan,
         }
@@ -354,9 +368,8 @@ pub fn heat_fused(cfg: FusedConfig) -> Program {
         ua.fill_valid(init::hash_field(cfg.seed));
 
         let mut gpu = GpuSystem::new(MachineConfig::k40m());
-        gpu.set_tracing(true);
         gpu.set_hazard_checking(true);
-        install(&mut gpu, oracle);
+        let traced = install(&mut gpu, oracle);
 
         let opts = AccOptions::paper()
             .with_max_slots(3)
@@ -410,7 +423,7 @@ pub fn heat_fused(cfg: FusedConfig) -> Program {
             hazards,
             integrity_detected: stats.integrity_detected,
             stats: Some(stats),
-            trace: acc.gpu().trace(),
+            trace: trace_if(traced, || acc.gpu().trace()),
             decisions: Vec::new(),
             makespan,
         }
@@ -450,7 +463,8 @@ pub fn cluster_ghost_sized(n: i64, regions: usize) -> Program {
         ua.fill_valid(init::hash_field(11));
 
         let mut cl = Cluster::new(ClusterConfig::new(2));
-        cl.set_tracing(true);
+        let traced = oracle.borrow().tracing();
+        cl.set_tracing(traced);
         cl.set_hazard_checking(true);
         cl.install_oracle(oracle as Rc<RefCell<dyn ScheduleOracle>>);
 
@@ -471,7 +485,7 @@ pub fn cluster_ghost_sized(n: i64, regions: usize) -> Program {
             hazards: cl.hazard_total(),
             integrity_detected: cl.integrity_detected(),
             stats: None,
-            trace: cl.trace(),
+            trace: trace_if(traced, || cl.trace()),
             decisions: Vec::new(),
             makespan,
         }
@@ -522,7 +536,8 @@ pub fn cluster_heat(cfg: ClusterHeatConfig) -> Program {
             plan = plan.with_link_fault(cluster::LinkFault::on("*").drops(cfg.drop_rate));
         }
         let mut cl = Cluster::new(ClusterConfig::new(cfg.nodes).fault(plan));
-        cl.set_tracing(true);
+        let traced = oracle.borrow().tracing();
+        cl.set_tracing(traced);
         cl.set_hazard_checking(true);
         cl.install_oracle(oracle as Rc<RefCell<dyn ScheduleOracle>>);
 
@@ -549,7 +564,7 @@ pub fn cluster_heat(cfg: ClusterHeatConfig) -> Program {
             hazards: cl.hazard_total(),
             integrity_detected: cl.integrity_detected(),
             stats: None,
-            trace: cl.trace(),
+            trace: trace_if(traced, || cl.trace()),
             decisions: Vec::new(),
             makespan,
         }

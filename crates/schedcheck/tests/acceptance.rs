@@ -117,10 +117,26 @@ fn seeded_ordering_bug_is_caught_and_shrunk() {
     let replay = checker.run(&failure.forced, Fallback::Fifo);
     assert_ne!(replay.digest, fifo.digest, "replay must still diverge");
 
-    // And the render carries the pieces a human needs.
+    // Exploration and shrinking ran untraced; the counterexample's trace
+    // comes from the traced replay of the shrunk vector.
+    assert!(
+        !failure.trace.spans.is_empty(),
+        "the counterexample must carry its replayed trace"
+    );
+
+    // And the render carries the pieces a human needs, naming ops by
+    // their label strings (the log keeps them interned).
     let rendered = failure.render();
     assert!(rendered.contains("replay forced vector"));
     assert!(rendered.contains("interleaving:"));
+    assert!(
+        rendered.contains("consume(op"),
+        "decision points name ops by label:\n{rendered}"
+    );
+    assert!(
+        rendered.contains(" consume ["),
+        "the timeline names spans by label:\n{rendered}"
+    );
 
     // DPOR soundness: the racing pair conflicts on the shared buffer, so
     // pruning must not hide the bug.
