@@ -686,8 +686,7 @@ impl Cluster {
                 // Step 0 / post-restore: the host copy is authoritative —
                 // upload it for the kernels and send straight from it.
                 self.stats.loads += 1;
-                let op = self.h2d_grown(src.0, r, self.xstream[r])?;
-                let _ = op;
+                self.h2d_grown(src.0, r, self.xstream[r])?;
                 let ev_up = self.nodes[node].record_event(self.xstream[r]);
                 self.nodes[node].stream_wait_event(self.cstream[r], ev_up);
                 self.arrays[src.0].resident[r] = true;
@@ -819,8 +818,6 @@ impl Cluster {
         }
         let stream = self.xstream[r];
         self.nodes[node].stream_synchronize(stream);
-        let dev_struck = self.nodes[node].device_poisoned(self.arrays[a.0].dev[r]);
-        let _ = dev_struck;
         self.arrays[a.0].resident[r] = false;
         self.arrays[a.0].dirty[r] = false;
         if self.nodes[node].host_poisoned(self.arrays[a.0].host[r]) {

@@ -7,7 +7,7 @@
 //! `sync_to_host`, must be empty/clean — the crash-consistency invariant
 //! validated on restore).
 //!
-//! # Binary format (version 4)
+//! # Binary format (version 5)
 //!
 //! ```text
 //! magic   b"TACK"
@@ -16,7 +16,8 @@
 //! ```
 //!
 //! Sections: `META` (1) — step, clock, shape, cache list, dirty bits;
-//! `STATS` (2) — the [`AccStats`] fields as u64 LE; `DATA` (3) — all region
+//! `STATS` (2) — the [`AccStats`] fields as u64 LE (a version-4 blob carries
+//! the first 31 and decodes with the rest zeroed); `DATA` (3) — all region
 //! values as f64 LE, concatenated in registration order. Every section
 //! carries its own FNV-1a checksum, so a torn write (truncation) surfaces as
 //! [`CheckpointError::Torn`] and a bit flip as
@@ -35,10 +36,16 @@ use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 4] = b"TACK";
 // v2: the stats section grew from 22 to 26 words (prefetch/deferral
-// counters). v3: 26 to 29 words (migration counters). Older blobs are
-// rejected as UnsupportedVersion — nothing pins the on-disk format across
-// releases yet.
-const VERSION: u16 = 4;
+// counters). v3: 26 to 29 words (migration counters). v4: 29 to 31 (fusion
+// counters). v5: 31 to 33 (part-dirty write-back counters); v4 blobs still
+// decode, the new counters zeroed. Older blobs are rejected as
+// UnsupportedVersion.
+const VERSION: u16 = 5;
+/// The oldest version [`Checkpoint::decode`] still reads.
+const MIN_VERSION: u16 = 4;
+/// Stats words per version, indexed from [`MIN_VERSION`].
+const STATS_WORDS: [usize; 2] = [31, STATS_LEN];
+const STATS_LEN: usize = 33;
 const TAG_META: u8 = 1;
 const TAG_STATS: u8 = 2;
 const TAG_DATA: u8 = 3;
@@ -184,7 +191,7 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn stats_to_words(s: &AccStats) -> [u64; 31] {
+fn stats_to_words(s: &AccStats) -> [u64; STATS_LEN] {
     [
         s.hits,
         s.loads,
@@ -217,10 +224,12 @@ fn stats_to_words(s: &AccStats) -> [u64; 31] {
         s.migration_restage_bytes,
         s.kernels_fused,
         s.fused_substeps,
+        s.writebacks_valid_only,
+        s.writebacks_shell_only,
     ]
 }
 
-fn stats_from_words(w: &[u64; 31]) -> AccStats {
+fn stats_from_words(w: &[u64; STATS_LEN]) -> AccStats {
     AccStats {
         hits: w[0],
         loads: w[1],
@@ -253,6 +262,8 @@ fn stats_from_words(w: &[u64; 31]) -> AccStats {
         migration_restage_bytes: w[28],
         kernels_fused: w[29],
         fused_substeps: w[30],
+        writebacks_valid_only: w[31],
+        writebacks_shell_only: w[32],
     }
 }
 
@@ -334,7 +345,7 @@ impl Checkpoint {
             return Err(CheckpointError::BadMagic);
         }
         let version = r.u16()?;
-        if version != VERSION {
+        if !(MIN_VERSION..=VERSION).contains(&version) {
             return Err(CheckpointError::UnsupportedVersion(version));
         }
         let (mut meta, mut stats, mut data) = (None, None, None);
@@ -388,8 +399,8 @@ impl Checkpoint {
             buf: &stats,
             pos: 0,
         };
-        let mut words = [0u64; 31];
-        for w in &mut words {
+        let mut words = [0u64; STATS_LEN];
+        for w in &mut words[..STATS_WORDS[usize::from(version - MIN_VERSION)]] {
             *w = s.u64()?;
         }
 
@@ -628,6 +639,45 @@ mod tests {
         assert_eq!(
             Checkpoint::decode(&blob),
             Err(CheckpointError::UnsupportedVersion(9))
+        );
+    }
+
+    #[test]
+    fn version_4_blobs_decode_with_the_new_counters_zeroed() {
+        let mut ck = sample();
+        ck.stats.fused_substeps = 6;
+        ck.stats.writebacks_valid_only = 2;
+        ck.stats.writebacks_shell_only = 1;
+        // Re-frame the v5 blob as v4 wrote it: 31 stats words.
+        let blob = ck.encode();
+        let mut v4 = Vec::from(&blob[..4]);
+        v4.extend_from_slice(&4u16.to_le_bytes());
+        let mut at = 6;
+        while at < blob.len() {
+            let tag = blob[at];
+            let len = u64::from_le_bytes(blob[at + 1..at + 9].try_into().unwrap()) as usize;
+            let mut payload = &blob[at + 9..at + 9 + len];
+            if tag == TAG_STATS {
+                payload = &payload[..31 * 8];
+            }
+            v4.push(tag);
+            put_u64(&mut v4, payload.len() as u64);
+            v4.extend_from_slice(payload);
+            put_u64(&mut v4, fnv1a64(payload));
+            at += 9 + len + 8;
+        }
+        let back = Checkpoint::decode(&v4).unwrap();
+        assert_eq!(back.stats.fused_substeps, 6);
+        assert_eq!(back.stats.writebacks_valid_only, 0);
+        assert_eq!(back.stats.writebacks_shell_only, 0);
+        assert_eq!(back.data, ck.data);
+        ck.stats.writebacks_valid_only = 0;
+        ck.stats.writebacks_shell_only = 0;
+        assert_eq!(back, ck);
+        v4[4] = 3;
+        assert_eq!(
+            Checkpoint::decode(&v4),
+            Err(CheckpointError::UnsupportedVersion(3))
         );
     }
 

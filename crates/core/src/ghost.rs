@@ -199,7 +199,7 @@ impl TileAcc {
             launch = launch.reads(self.slot_dev(s).into());
         }
         self.gpu_mut().launch_kernel(dst_stream, launch);
-        self.mark_dirty(s_dst);
+        self.mark_shell_dirty(s_dst);
         for &(_, s) in &src_slots {
             self.note_foreign_read_pub(s, s_dst);
         }
@@ -283,7 +283,7 @@ impl TileAcc {
                     memslab::copy_rows(&dst_slab, &src_slab, nx, rows);
                 }),
         );
-        self.mark_dirty(s_dst);
+        self.mark_shell_dirty(s_dst);
         self.note_foreign_read_pub(s_src, s_dst);
         self.bump_ghost_gpu();
         // The crash trigger may have fired on this patch's transfers or on

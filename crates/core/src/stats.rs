@@ -75,6 +75,14 @@ pub struct AccStats {
     /// detected step plan proves the host mirror is already current
     /// (only under `WritebackPolicy::Always` with a live plan).
     pub writebacks_deferred: u64,
+    /// Write-backs of a slot only its valid box was dirty in (kernels
+    /// wrote it, no ghost gather since the load): just the valid box went
+    /// home, through a gathered copy.
+    pub writebacks_valid_only: u64,
+    /// Write-backs of a slot only its ghost shell was dirty in (a ghost
+    /// gather wrote it, no kernel since the load): just the shell went
+    /// home, through a gathered copy.
+    pub writebacks_shell_only: u64,
     /// Fused temporal-blocking launches (one launch covering k stencil
     /// applications; also counted in `kernels_gpu`).
     pub kernels_fused: u64,
@@ -153,6 +161,13 @@ impl fmt::Display for AccStats {
                 self.prefetch_hits,
                 self.prefetch_fallbacks,
                 self.writebacks_deferred,
+            )?;
+        }
+        if self.writebacks_valid_only + self.writebacks_shell_only > 0 {
+            write!(
+                f,
+                " part_wb(valid/shell)={}/{}",
+                self.writebacks_valid_only, self.writebacks_shell_only,
             )?;
         }
         if self.kernels_fused + self.fused_substeps > 0 {

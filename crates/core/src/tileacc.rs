@@ -86,9 +86,43 @@ struct ArrayEntry {
     host: Vec<HostBuffer>,
 }
 
+/// Which parts of a slot's region the device changed since the region was
+/// loaded. A write-back moves only the changed part home: a part that is
+/// not dirty is still byte-equal to the host copy it was loaded from.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Dirty {
+    /// A kernel wrote inside the valid box.
+    valid: bool,
+    /// A ghost gather wrote the shell, or a kernel's declared write box
+    /// reaches outside the valid box (fused depth > 1).
+    shell: bool,
+}
+
+impl Dirty {
+    fn any(self) -> bool {
+        self.valid || self.shell
+    }
+}
+
+/// The part of a region a write-back moves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Part {
+    Valid,
+    Shell,
+}
+
+/// The gather runs of one region shape: its valid box and its ghost shell
+/// as `(offset, len)` runs of its slab. Regions of one shape share them.
+struct PartRuns {
+    /// Grown-box size and the valid box relative to the grown box's corner.
+    shape: (tida::IntVect, Box3),
+    valid: Arc<[(usize, usize)]>,
+    shell: Arc<[(usize, usize)]>,
+}
+
 struct Slot {
     dev: DeviceBuffer,
-    dirty: bool,
+    dirty: Dirty,
     /// Completion events of kernels in *other* streams that read this slot;
     /// the next transfer into the slot must wait for them.
     foreign_consumers: Vec<gpu_sim::Event>,
@@ -137,6 +171,9 @@ pub struct TileAcc {
     /// their first hit is a `prefetch_hits`, not an organic `hits`.
     /// Dense-indexed by global region.
     prefetched: Vec<bool>,
+    /// Gather runs per region shape, built on a shape's first part-dirty
+    /// write-back.
+    part_runs: Vec<PartRuns>,
 }
 
 /// Set a dense per-region flag, growing the table on first sight of `g`.
@@ -188,6 +225,7 @@ impl TileAcc {
             device_failed: false,
             planner: StepPlanner::default(),
             prefetched: Vec::new(),
+            part_runs: Vec::new(),
         }
     }
 
@@ -360,7 +398,7 @@ impl TileAcc {
                     let stream = self.gpu.create_stream();
                     self.slots.push(Slot {
                         dev,
-                        dirty: false,
+                        dirty: Dirty::default(),
                         foreign_consumers: Vec::new(),
                         lru_stamp: 0,
                         quarantined: false,
@@ -500,11 +538,10 @@ impl TileAcc {
                 // through to reload the region elsewhere. A dirty slot's
                 // data exists nowhere valid — surface it for checkpoint
                 // recovery.
-                let dirty = self.slots[s].dirty;
+                let dirty = std::mem::take(&mut self.slots[s].dirty).any();
                 self.quarantine(s);
                 self.cache[s] = None;
                 self.loc[g] = None;
-                self.slots[s].dirty = false;
                 flag_take(&mut self.prefetched, g);
                 if dirty {
                     return Err(AcquireFail::Fatal(AccError::Integrity {
@@ -544,7 +581,7 @@ impl TileAcc {
         if let Some(g2) = self.cache[s] {
             self.stats.evictions += 1;
             flag_take(&mut self.prefetched, g2);
-            let dirty = self.slots[s].dirty;
+            let dirty = self.slots[s].dirty.any();
             let write_back = match self.opts.writeback {
                 // With a detected step plan a clean slot's host mirror is
                 // provably current, so the unconditional write-back
@@ -555,10 +592,7 @@ impl TileAcc {
                 WritebackPolicy::DirtyOnly => dirty,
             };
             if write_back {
-                let (a2, r2) = self.gsplit(g2);
-                let host = self.arrays[a2].host[r2];
-                let len = self.arrays[a2].array.region(r2).slab.len();
-                let op = self.flush_d2h(s, host, len).map_err(AcquireFail::Fatal)?;
+                let op = self.flush_d2h(s, g2, false).map_err(AcquireFail::Fatal)?;
                 if self.device_failed {
                     // The write-back exhausted its retries: fail_device
                     // already salvaged and released everything.
@@ -590,10 +624,15 @@ impl TileAcc {
         if skip_load {
             // The kernel overwrites the whole valid box; ghost cells are
             // refreshed by the next fill_boundary before anything reads
-            // them, so no upload is needed. The slot is dirty from the
-            // moment it is claimed.
+            // them, so no upload is needed. The slot's valid box is dirty
+            // from the moment it is claimed. Its shell is unspecified on
+            // both sides until that fill_boundary, so a write-back of the
+            // valid box alone leaves nothing readable stale.
             self.stats.write_allocs += 1;
-            self.slots[s].dirty = true;
+            self.slots[s].dirty = Dirty {
+                valid: true,
+                shell: false,
+            };
         } else {
             let (a, r) = self.gsplit(g);
             let host = self.arrays[a].host[r];
@@ -601,7 +640,7 @@ impl TileAcc {
             let op = self.load_h2d(s, host, len)?;
             op_set(&mut self.host_slab_op, g, op);
             self.stats.loads += 1;
-            self.slots[s].dirty = false;
+            self.slots[s].dirty = Dirty::default();
         }
         self.cache[s] = Some(g);
         self.loc[g] = Some(s);
@@ -646,7 +685,25 @@ impl TileAcc {
         len: usize,
         stream: StreamId,
     ) -> Result<OpId, AccError> {
-        let mut op = self.gpu.memcpy_d2h_async(dst, 0, dev, 0, len, stream);
+        self.d2h_part_retrying(dst, dev, len, None, stream)
+    }
+
+    /// [`TileAcc::d2h_retrying`] that moves only the cells of `runs` when
+    /// given (a gathered write-back of a part-dirty slot). The salvage
+    /// fallback still moves all `len` cells.
+    fn d2h_part_retrying(
+        &mut self,
+        dst: HostBuffer,
+        dev: DeviceBuffer,
+        len: usize,
+        runs: Option<&Arc<[(usize, usize)]>>,
+        stream: StreamId,
+    ) -> Result<OpId, AccError> {
+        let issue = |gpu: &mut GpuSystem| match runs {
+            None => gpu.memcpy_d2h_async(dst, 0, dev, 0, len, stream),
+            Some(runs) => gpu.memcpy_d2h_gather_async(dst, dev, Arc::clone(runs), stream),
+        };
+        let mut op = issue(&mut self.gpu);
         let mut attempt: u32 = 0;
         while self.gpu.op_faulted(op) {
             if self.gpu.crashed() {
@@ -663,20 +720,94 @@ impl TileAcc {
             self.stats.transfer_retries += 1;
             self.gpu
                 .backoff_work(self.opts.retry.backoff(attempt), "d2h-retry-backoff");
-            op = self.gpu.memcpy_d2h_async(dst, 0, dev, 0, len, stream);
+            op = issue(&mut self.gpu);
             attempt += 1;
         }
         Ok(op)
     }
 
-    /// Write a slot's region back to the host with retry/salvage. Clears the
-    /// dirty bit first so a `fail_device` triggered by this very flush does
-    /// not salvage the same slot a second time.
-    fn flush_d2h(&mut self, s: usize, host: HostBuffer, len: usize) -> Result<OpId, AccError> {
-        self.slots[s].dirty = false;
+    /// Write slot `s`'s region (global region `g`) back to the host with
+    /// retry/salvage, moving only what the device changed: a slot dirty in
+    /// just its valid box or just its shell sends that part through a
+    /// gathered copy; a slot dirty in both, or clean (the paper's
+    /// unconditional write-back), sends the whole slab. Clears the dirty
+    /// bits first so a `fail_device` triggered by this very flush does not
+    /// salvage the same slot a second time.
+    ///
+    /// When the host waits on the write-back (`host_waits`), its pack,
+    /// copy and unpack run back to back on the host's critical path, so
+    /// the part goes through the gather only when those three take less
+    /// time than copying the whole slab. An eviction write-back runs
+    /// behind other work, where only the copy engine's load counts, and
+    /// the gather always lightens it.
+    fn flush_d2h(&mut self, s: usize, g: usize, host_waits: bool) -> Result<OpId, AccError> {
+        let dirty = std::mem::take(&mut self.slots[s].dirty);
+        let (a, r) = self.gsplit(g);
+        let host = self.arrays[a].host[r];
+        let len = self.arrays[a].array.region(r).slab.len();
+        let part = match (dirty.valid, dirty.shell) {
+            (true, false) => Some(Part::Valid),
+            (false, true) => Some(Part::Shell),
+            _ => None,
+        };
+        let runs = part.and_then(|p| self.part_runs(a, r, p)).filter(|runs| {
+            if !host_waits {
+                return true;
+            }
+            let f64s = |cells: usize| (cells * std::mem::size_of::<f64>()) as u64;
+            let cfg = self.gpu.config();
+            let gather: SimTime = cfg
+                .d2h_gather_times(f64s(runs.iter().map(|&(_, n)| n).sum()))
+                .into_iter()
+                .sum();
+            gather < cfg.d2h_time(f64s(len))
+        });
+        match part.filter(|_| runs.is_some()) {
+            Some(Part::Valid) => self.stats.writebacks_valid_only += 1,
+            Some(Part::Shell) => self.stats.writebacks_shell_only += 1,
+            None => {}
+        }
         let dev = self.slots[s].dev;
         let stream = self.streams[s];
-        self.d2h_retrying(host, dev, len, stream)
+        self.d2h_part_retrying(host, dev, len, runs.as_ref(), stream)
+    }
+
+    /// The gather runs of `part` of region `r` of array `a`, or `None` when
+    /// the part is the whole slab or nothing (no ghost shell), where a
+    /// gathered copy buys nothing.
+    fn part_runs(&mut self, a: usize, r: usize, part: Part) -> Option<Arc<[(usize, usize)]>> {
+        let region = self.arrays[a].array.region(r);
+        if region.valid == region.grown {
+            return None;
+        }
+        let shape = (region.grown.size(), region.valid.shift(-region.grown.lo()));
+        let i = match self.part_runs.iter().position(|p| p.shape == shape) {
+            Some(i) => i,
+            None => {
+                let layout = tida::Layout::new(Box3::from_size(shape.0));
+                self.part_runs.push(PartRuns {
+                    shape,
+                    valid: layout.box_runs(shape.1).into(),
+                    shell: layout.shell_runs(shape.1).into(),
+                });
+                self.part_runs.len() - 1
+            }
+        };
+        let runs = &self.part_runs[i];
+        Some(Arc::clone(match part {
+            Part::Valid => &runs.valid,
+            Part::Shell => &runs.shell,
+        }))
+    }
+
+    /// Record that a kernel declared to write `bx` of region `r` of `array`
+    /// ran on slot `s`: it dirties the valid box where it meets it and the
+    /// shell where it reaches outside it.
+    fn mark_written(&mut self, s: usize, array: ArrayId, r: usize, bx: Box3) {
+        let valid = self.arrays[array.0].array.region(r).valid;
+        let d = &mut self.slots[s].dirty;
+        d.valid |= !bx.intersect(&valid).is_empty();
+        d.shell |= !valid.contains_box(&bx);
     }
 
     /// Declare the device path dead (idempotent): salvage every dirty
@@ -690,7 +821,7 @@ impl TileAcc {
         self.device_failed = true;
         for s in 0..self.slots.len() {
             if let Some(g) = self.cache[s] {
-                if self.slots[s].dirty {
+                if self.slots[s].dirty.any() {
                     let (a, r) = self.gsplit(g);
                     let host = self.arrays[a].host[r];
                     let len = self.arrays[a].array.region(r).slab.len();
@@ -704,7 +835,7 @@ impl TileAcc {
                         self.streams[s],
                     );
                     self.stats.salvaged_regions += 1;
-                    self.slots[s].dirty = false;
+                    self.slots[s].dirty = Dirty::default();
                 }
                 self.cache[s] = None;
                 self.loc[g] = None;
@@ -747,13 +878,11 @@ impl TileAcc {
         let g = self.gidx(array, region);
         let mut struck_slot: Option<usize> = None;
         if let Some(s) = self.loc[g] {
-            let need_copy = self.opts.writeback == WritebackPolicy::Always || self.slots[s].dirty;
+            let need_copy =
+                self.opts.writeback == WritebackPolicy::Always || self.slots[s].dirty.any();
             if need_copy {
                 self.drain_consumers_into(s, s);
-                let (a, r) = self.gsplit(g);
-                let host = self.arrays[a].host[r];
-                let len = self.arrays[a].array.region(r).slab.len();
-                self.flush_d2h(s, host, len)?;
+                self.flush_d2h(s, g, true)?;
                 self.stats.host_syncs += 1;
                 if self.device_failed {
                     // fail_device already drained the device and released
@@ -767,7 +896,7 @@ impl TileAcc {
             }
             self.cache[s] = None;
             self.loc[g] = None;
-            self.slots[s].dirty = false;
+            self.slots[s].dirty = Dirty::default();
             flag_take(&mut self.prefetched, g);
         } else if let Some(op) = op_take(&mut self.inflight_writeback, g) {
             // An eviction write-back is still in flight; wait for it.
@@ -1060,7 +1189,7 @@ impl TileAcc {
                     with_view_mut(&slab, layout, |mut v| f(&mut v, bx));
                 }),
         );
-        self.slots[s].dirty = true;
+        self.mark_written(s, array, tile.region, bx);
         self.stats.kernels_gpu += 1;
         // The crash trigger may have fired on this very launch, in which
         // case the kernel was submitted effect-less: surface that now.
@@ -1228,8 +1357,8 @@ impl TileAcc {
             launch = launch.writes(self.slots[s].dev.into());
         }
         self.gpu.launch_kernel(self.streams[ks], launch);
-        for &s in &write_slots {
-            self.slots[s].dirty = true;
+        for (&s, &a) in write_slots.iter().zip(writes) {
+            self.mark_written(s, a, r, bx);
             self.note_foreign_read(s, ks);
         }
         for &s in &read_slots {
@@ -1394,8 +1523,11 @@ impl TileAcc {
                 }
             });
         self.gpu.launch_kernel(self.streams[ks], launch);
+        // Sub-step `i` writes `valid.grow(depth-1-i)` of dst (even `i`) or
+        // src (odd `i`); each array's widest write is its first.
+        self.mark_written(s_dst, dst, r, valid.grow(depth as i64 - 1));
+        self.mark_written(s_src, src, r, valid.grow(depth as i64 - 2));
         for s in [s_dst, s_src] {
-            self.slots[s].dirty = true;
             self.note_foreign_read(s, ks);
         }
         self.stats.kernels_gpu += 1;
@@ -1473,7 +1605,7 @@ impl TileAcc {
             .iter()
             .map(|c| c.map(|g| g as i64).unwrap_or(-1))
             .collect();
-        let dirty: Vec<bool> = self.slots.iter().map(|s| s.dirty).collect();
+        let dirty: Vec<bool> = self.slots.iter().map(|s| s.dirty.any()).collect();
         Ok(Checkpoint {
             step,
             clock: self.clock,
@@ -1530,7 +1662,7 @@ impl TileAcc {
             *l = None;
         }
         for s in self.slots.iter_mut() {
-            s.dirty = false;
+            s.dirty = Dirty::default();
             s.foreign_consumers.clear();
         }
         self.inflight_writeback.clear();
@@ -1601,8 +1733,9 @@ impl TileAcc {
         self.check_alive()
     }
 
-    pub(crate) fn mark_dirty(&mut self, s: usize) {
-        self.slots[s].dirty = true;
+    /// A ghost gather wrote slot `s`'s shell.
+    pub(crate) fn mark_shell_dirty(&mut self, s: usize) {
+        self.slots[s].dirty.shell = true;
     }
 
     pub(crate) fn bump_ghost_gpu(&mut self) {

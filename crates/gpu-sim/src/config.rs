@@ -159,6 +159,18 @@ impl MachineConfig {
         self.copy_latency + SimTime::from_secs_f64(bytes as f64 / self.d2h_pinned_bw)
     }
 
+    /// The three stream-ordered ops of a gathered D2H of `bytes` payload
+    /// ([`crate::GpuSystem::memcpy_d2h_gather_async`]): the pack kernel
+    /// (reads and writes the payload on the device), the contiguous copy,
+    /// and the host unpack.
+    pub fn d2h_gather_times(&self, bytes: u64) -> [SimTime; 3] {
+        [
+            KernelCost::Bytes(2 * bytes).duration(self, 1.0),
+            self.d2h_time(bytes),
+            self.host_copy_time(bytes),
+        ]
+    }
+
     /// Host-side staging time for a pageable transfer of `bytes`.
     pub fn stage_time(&self, bytes: u64) -> SimTime {
         SimTime::from_secs_f64(bytes as f64 / self.host_stage_bw)

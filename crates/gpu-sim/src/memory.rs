@@ -282,7 +282,61 @@ impl IntegrityBook {
         len: usize,
         corrupt: Option<CorruptVerdict>,
     ) -> bool {
-        memslab::copy(dst, dst_off, src, src_off, len);
+        self.retransmit_loop(
+            corrupt,
+            || memslab::copy(dst, dst_off, src, src_off, len),
+            |strike| dst.flip_bit(strike, dst_off, len),
+            || src.digest_range(src_off, len) != dst.digest_range(dst_off, len),
+        )
+    }
+
+    /// [`IntegrityBook::transfer_with_retransmits`] for a gathered transfer
+    /// of `runs` (`(offset, len)`, the same on both sides) holding `cells`
+    /// cells in all: every attempt moves exactly those cells, and an
+    /// in-flight flip lands on one of them.
+    fn gather_with_retransmits(
+        &mut self,
+        dst: &Slab,
+        src: &Slab,
+        runs: &[(usize, usize)],
+        cells: usize,
+        corrupt: Option<CorruptVerdict>,
+    ) -> bool {
+        self.retransmit_loop(
+            corrupt,
+            || memslab::copy_runs(dst, src, runs),
+            |strike| {
+                // The strike picks one moved cell; `flip_bit` over that one
+                // cell keeps its bit choice.
+                let mut k = (strike as usize) % cells.max(1);
+                for &(off, len) in runs {
+                    if k < len {
+                        return dst.flip_bit(strike, off + k, 1);
+                    }
+                    k -= len;
+                }
+                false
+            },
+            || {
+                runs.iter()
+                    .any(|&(off, len)| src.digest_range(off, len) != dst.digest_range(off, len))
+            },
+        )
+    }
+
+    /// The loop both transfer shapes share: `copy` once, then for each
+    /// corrupted attempt `flip` a seeded bit in what landed, count the
+    /// detection, and `copy` again unless the budget ran out. `differs`
+    /// recomputes both sides' digests of the moved cells; only debug builds
+    /// call it, to confirm an injected flip is visible.
+    fn retransmit_loop(
+        &mut self,
+        corrupt: Option<CorruptVerdict>,
+        mut copy: impl FnMut(),
+        mut flip: impl FnMut(u64) -> bool,
+        differs: impl Fn() -> bool,
+    ) -> bool {
+        copy();
         if self.enabled {
             self.stats.verified += 1;
         }
@@ -295,16 +349,14 @@ impl IntegrityBook {
             let strike = c
                 .strike
                 .wrapping_add(u64::from(attempt).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-            let flipped = dst.flip_bit(strike, dst_off, len);
+            let flipped = flip(strike);
             if self.enabled {
                 // End-to-end check: sender-side digest vs what landed. The
                 // mismatch is guaranteed (a single flipped bit always
                 // changes the word digest), so only debug builds pay to
                 // recompute both sides and confirm it.
                 if cfg!(debug_assertions) && flipped {
-                    let expected = src.digest_range(src_off, len);
-                    let observed = dst.digest_range(dst_off, len);
-                    debug_assert_ne!(expected, observed, "injected flip must be visible");
+                    debug_assert!(differs(), "injected flip must be visible");
                 }
                 self.stats.detected += 1;
                 self.stats.verified += 1;
@@ -315,7 +367,7 @@ impl IntegrityBook {
             } else {
                 // Retransmit from the authoritative side (engine time for
                 // this was charged at enqueue).
-                memslab::copy(dst, dst_off, src, src_off, len);
+                copy();
             }
         }
         if c.corrupt_attempts > 0 && self.enabled {
@@ -498,6 +550,31 @@ impl IntegrityBook {
             self.poisoned_host.insert(dst_idx);
         } else if dst_off == 0 && len == dst.len() {
             // A clean full overwrite restores the host buffer.
+            self.poisoned_host.remove(&dst_idx);
+        }
+    }
+
+    /// Gathered D2H landing: `d2h_effect` over the cells of `runs`
+    /// (`(offset, len)`, the same on both sides; `cells` in all). Only the
+    /// moved cells land, are struck in flight, and are retransmitted. The
+    /// poison rule is `d2h_effect`'s: only a clean write of every cell of
+    /// the host buffer clears its poison.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn d2h_gather_effect(
+        &mut self,
+        dst: &Slab,
+        dst_idx: usize,
+        src: &Slab,
+        src_idx: usize,
+        runs: &[(usize, usize)],
+        cells: usize,
+        corrupt: Option<CorruptVerdict>,
+    ) {
+        let src_bad = self.verify_device(src_idx, src);
+        let unrepaired = self.gather_with_retransmits(dst, src, runs, cells, corrupt);
+        if src_bad || unrepaired {
+            self.poisoned_host.insert(dst_idx);
+        } else if cells == dst.len() {
             self.poisoned_host.remove(&dst_idx);
         }
     }

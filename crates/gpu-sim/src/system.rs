@@ -45,6 +45,7 @@ use memslab::Slab;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Interned symbol for a literal, resolved once per call site (an atomic
 /// load afterwards) — keeps constant labels/categories off the interner's
@@ -254,6 +255,22 @@ pub struct GpuSystem {
 /// Access-log room reserved when hazard checking turns on: a small
 /// program's worth, so a fresh system does not regrow it op by op.
 const ACCESSES_HINT: usize = 64;
+
+/// The cells a device→host copy moves.
+enum D2hCells {
+    /// One contiguous range.
+    Range {
+        dst_off: usize,
+        src_off: usize,
+        len: usize,
+    },
+    /// The `(offset, len)` runs of a gathered write-back (`cells` in all),
+    /// at the same offsets on both sides.
+    Runs {
+        runs: Arc<[(usize, usize)]>,
+        cells: usize,
+    },
+}
 
 /// Transfer-label kinds for [`GpuSystem::xfer_labels`].
 mod xk {
@@ -1073,12 +1090,140 @@ impl GpuSystem {
         );
         self.note_tenant_touch(BufKey::Device(src.0));
         self.note_tenant_touch(BufKey::Host(dst.0));
-        let eng_d2h = self.devices[device].eng_d2h;
         let bytes = (len * std::mem::size_of::<f64>()) as u64;
-        let kind = self.host[dst.0].kind;
+        let cells = D2hCells::Range {
+            dst_off,
+            src_off,
+            len,
+        };
+        let (op, _) = self.submit_d2h(dst, src, cells, stream);
+        if self.host[dst.0].kind == HostMemKind::Pageable {
+            // DMA into the bounce buffer, then a host-side unstage copy;
+            // the host blocks through both.
+            let unstage = self.sched.submit(
+                Op::on(self.eng_host, self.cfg.stage_time(bytes))
+                    .after(op)
+                    .label("stage-d2h")
+                    .category(csym!("host")),
+            );
+            let t = self.sched.run_until(unstage);
+            self.host_clock = self.host_clock.max(t);
+            self.hazards.host_joins(op);
+        }
+        op
+    }
+
+    /// Asynchronous gathered device→host copy of the cells in `runs`
+    /// (`(offset, len)` in doubles, sorted and disjoint, inside both
+    /// buffers), for a host buffer laid out like the start of the device
+    /// one: a write-back of only the part of a region the device changed.
+    ///
+    /// Priced as what a CUDA runtime issues for it, all in `stream`: a pack
+    /// kernel gathering the runs into a contiguous staging buffer
+    /// (`KernelCost::Bytes(16·cells)`), one contiguous D2H of `8·cells`
+    /// bytes, and a stream-ordered host unpack (`launch_host_func`,
+    /// `host_copy_time(8·cells)`). The copy carries the D2H fault and
+    /// corruption verdicts and is counted and labelled like a plain D2H of
+    /// that many bytes. The pack belongs to the transfer, not to the
+    /// program: it takes no kernel fault ordinal (crash and strike plans
+    /// index the program's own launches) and is not counted in
+    /// [`GpuSystem::stats_kernels`]; a dead platform refuses the copy.
+    ///
+    /// The data moves once, device slab → host slab, in the copy's effect;
+    /// no staging bytes are allocated. Returns the op that completes the
+    /// transfer: the unpack, or the copy itself when it faulted (then
+    /// nothing moved and there is nothing to unpack).
+    pub fn memcpy_d2h_gather_async(
+        &mut self,
+        dst: HostBuffer,
+        src: DeviceBuffer,
+        runs: Arc<[(usize, usize)]>,
+        stream: StreamId,
+    ) -> OpId {
+        assert!(self.dev[src.0].alive, "copy from freed device buffer");
+        let device = self.dev[src.0].device;
+        assert_eq!(
+            device, self.streams[stream.0].device,
+            "stream and source buffer live on different devices"
+        );
+        let slab_len = self.dev[src.0].slab.len().min(self.host[dst.0].slab.len());
+        let mut end = 0;
+        for &(off, len) in runs.iter() {
+            assert!(
+                off >= end && len > 0,
+                "gather runs must be sorted, disjoint and non-empty"
+            );
+            end = off + len;
+        }
+        assert!(end <= slab_len, "gather run ends at {end}, past {slab_len}");
+        self.note_tenant_touch(BufKey::Device(src.0));
+        self.note_tenant_touch(BufKey::Host(dst.0));
+        let cells: usize = runs.iter().map(|&(_, len)| len).sum();
+        let bytes = (cells * std::mem::size_of::<f64>()) as u64;
+
+        let [pack_time, _, unpack_time] = self.cfg.d2h_gather_times(bytes);
+
+        // The pack kernel: reads the device buffer, gathers into staging.
+        let deps = self.stream_deps(stream);
+        self.host_clock += self.cfg.host_enqueue_overhead;
+        let label = csym!("d2h-pack");
+        let pack = self.sched.submit(
+            Op::on(self.devices[device].eng_compute, pack_time)
+                .not_before(self.host_clock)
+                .host_cause(self.last_block)
+                .after_all(deps.iter().copied())
+                .label(label)
+                .category(csym!("kernel"))
+                .touches(BufKey::Device(src.0).resource_id(), false),
+        );
+        self.push_stream_op(stream, pack);
+        self.record_access(pack, BufKey::Device(src.0), Access::Read, label);
+        self.hazards.observe_op(
+            pack,
+            stream.0 + 1,
+            &deps,
+            label,
+            csym!("kernel"),
+            &[(BufKey::Device(src.0), Dir::Read)],
+            self.host_clock,
+        );
+        self.put_deps(deps);
+
+        let (op, faulted) = self.submit_d2h(dst, src, D2hCells::Runs { runs, cells }, stream);
+        if faulted {
+            return op;
+        }
+        let unpack = self.launch_host_func(stream, unpack_time, csym!("d2h-unpack"), || {});
+        if self.host[dst.0].kind == HostMemKind::Pageable {
+            // No pinned staging to land in: the host blocks through the
+            // unpack, as it does through a pageable copy's unstage.
+            let t = self.sched.run_until(unpack);
+            self.host_clock = self.host_clock.max(t);
+            self.hazards.host_joins(unpack);
+        }
+        unpack
+    }
+
+    /// Submit the DMA of a device→host copy in `stream`: fault and
+    /// corruption verdict, the op with its data effect, byte accounting and
+    /// hazard bookkeeping. Returns the op and whether it faulted.
+    fn submit_d2h(
+        &mut self,
+        dst: HostBuffer,
+        src: DeviceBuffer,
+        cells: D2hCells,
+        stream: StreamId,
+    ) -> (OpId, bool) {
+        let device = self.dev[src.0].device;
+        let eng_d2h = self.devices[device].eng_d2h;
+        let len = match &cells {
+            D2hCells::Range { len, .. } => *len,
+            D2hCells::Runs { cells, .. } => *cells,
+        };
+        let bytes = (len * std::mem::size_of::<f64>()) as u64;
         let mut deps = self.stream_deps(stream);
 
-        if kind == HostMemKind::Pinned {
+        if self.host[dst.0].kind == HostMemKind::Pinned {
             self.host_clock += self.cfg.host_enqueue_overhead;
         }
 
@@ -1130,9 +1275,19 @@ impl GpuSystem {
                 let dst_slab = self.host[dst.0].slab.clone();
                 let src_slab = self.dev[src.0].slab.clone();
                 builder = builder.effect(move || {
-                    integrity.borrow_mut().d2h_effect(
-                        &dst_slab, dst_idx, dst_off, &src_slab, src_idx, src_off, len, corrupt,
-                    )
+                    let mut book = integrity.borrow_mut();
+                    match cells {
+                        D2hCells::Range {
+                            dst_off,
+                            src_off,
+                            len,
+                        } => book.d2h_effect(
+                            &dst_slab, dst_idx, dst_off, &src_slab, src_idx, src_off, len, corrupt,
+                        ),
+                        D2hCells::Runs { runs, cells } => book.d2h_gather_effect(
+                            &dst_slab, dst_idx, &src_slab, src_idx, &runs, cells, corrupt,
+                        ),
+                    }
                 });
             } else {
                 self.integrity.borrow_mut().note_passive_copy();
@@ -1163,21 +1318,7 @@ impl GpuSystem {
             self.host_clock,
         );
         self.put_deps(deps);
-
-        if kind == HostMemKind::Pageable {
-            // DMA into the bounce buffer, then a host-side unstage copy;
-            // the host blocks through both.
-            let unstage = self.sched.submit(
-                Op::on(self.eng_host, self.cfg.stage_time(bytes))
-                    .after(op)
-                    .label("stage-d2h")
-                    .category(csym!("host")),
-            );
-            let t = self.sched.run_until(unstage);
-            self.host_clock = self.host_clock.max(t);
-            self.hazards.host_joins(op);
-        }
-        op
+        (op, v.faulted)
     }
 
     /// Asynchronous same-device copy (`cudaMemcpyAsync` device→device):

@@ -27,9 +27,11 @@
 //! caller memoise a content digest and skip rehashing bytes nobody wrote.
 //!
 //! The content digest ([`word_digest`]) is a sum over positions, and each
-//! slab keeps that sum as a memo next to its data. [`copy`] and
-//! [`copy_rows`] move the memo by exactly the cells they write; any other
-//! write drops it, and the next digest hashes the slab once and keeps it.
+//! slab keeps that sum as a memo next to its data. [`copy`],
+//! [`copy_rows`] and [`copy_runs`] keep the memo at the cost of the cells
+//! they write ([`copy_runs`]: of the cells it writes or skips, whichever
+//! are fewer); any other write drops it, and the next digest hashes the
+//! slab once and keeps it.
 //! So a digest after a ghost-cell update costs the cells written, not the
 //! slab.
 
@@ -225,8 +227,8 @@ const MEMO_VALID: u64 = 1 << 63;
 /// **digest memo**: the sum `Σ_i mix(i, w_i)` behind [`word_digest`] of the
 /// current cells, valid while the stamp carries [`MEMO_VALID`]. A new stamp
 /// never carries it, so every write drops the memo unless the writer sets
-/// it again — which only [`copy`] and [`copy_rows`] do, after moving the
-/// sum by what they wrote.
+/// it again — which only [`copy`], [`copy_rows`] and [`copy_runs`] do,
+/// after accounting for what they wrote.
 struct Storage {
     stamp: u64,
     data: Option<Box<[f64]>>,
@@ -436,11 +438,12 @@ impl Slab {
 
     /// The current write stamp. Every access that can change a backed
     /// slab's bytes — [`Slab::with_mut`], [`Slab::set`], the fills,
-    /// [`Slab::write_guard`], being the destination of [`copy`] or
-    /// [`copy_rows`], [`Slab::flip_bit`], and [`Slab::materialize`] of a
-    /// virtual slab — draws a new stamp from a process-wide counter, so a
-    /// stamp equal to one read earlier proves the contents are unchanged
-    /// since. Virtual slabs (including dematerialized ones) read 0.
+    /// [`Slab::write_guard`], being the destination of [`copy`],
+    /// [`copy_rows`] or [`copy_runs`], [`Slab::flip_bit`], and
+    /// [`Slab::materialize`] of a virtual slab — draws a new stamp from a
+    /// process-wide counter, so a stamp equal to one read earlier proves
+    /// the contents are unchanged since. Virtual slabs (including
+    /// dematerialized ones) read 0.
     pub fn stamp(&self) -> u64 {
         self.inner.read().stamp()
     }
@@ -687,13 +690,77 @@ pub fn copy_rows(
     nx: usize,
     rows: impl IntoIterator<Item = (usize, usize)>,
 ) {
+    copy_spans(dst, src, rows.into_iter().map(|(d, s)| (d, s, nx)));
+}
+
+/// Copy runs of varying length between two slabs of one layout:
+/// `dst[off..off + len] = src[off..off + len]` for every `(off, len)` in
+/// `runs` (sorted, disjoint). This is the data path of a gathered
+/// transfer, whose host and device sides share a layout. The stamp rules
+/// are those of [`copy_rows`].
+///
+/// A valid destination memo stays valid. It moves by the cells written,
+/// or — when the runs cover most of a same-length slab whose source memo
+/// is valid — it becomes the source's sum corrected by the cells *not*
+/// written, hashed on both sides in the copy's own pass. Either way the
+/// copy hashes the smaller of the two sets.
+///
+/// A demand-zero destination gets every page on this first write, not
+/// only the pages the runs touch: its other pages would otherwise fault
+/// one by one under later writes, where a whole-slab first write takes
+/// them all at once.
+///
+/// Panics when a run is out of bounds.
+pub fn copy_runs(dst: &Slab, src: &Slab, runs: &[(usize, usize)]) {
+    if dst.inner.read().is_demand_zero() && !src.is_virtual() {
+        let mut guard = dst.inner.write();
+        guard.allocate(dst.len);
+        if let Some(d) = guard.cells_mut() {
+            for page in d.chunks_mut(DEMAND_ZERO_MIN_LEN) {
+                page[0] = 0.0;
+            }
+        }
+    }
+    let moved: usize = runs.iter().map(|&(_, len)| len).sum();
+    if !dst.same_storage(src) && dst.len == src.len && 2 * moved > dst.len {
+        let src_guard = src.read();
+        if let (Some(sum), Some(s)) = (src_guard.memo(), src_guard.cells()) {
+            let (mut guard, memo) = dst.write_tracked();
+            let Some(d) = guard.cells_mut() else {
+                return;
+            };
+            // Σ mix(dst) − Σ mix(src) over the cells between the runs,
+            // which the copy leaves as they are.
+            let mut kept = 0u64;
+            let mut from = 0;
+            for &(off, len) in runs.iter().chain(&[(d.len(), 0)]) {
+                if memo.is_some() {
+                    kept = kept
+                        .wrapping_add(mix_sum(from, &d[from..off]))
+                        .wrapping_sub(mix_sum(from, &s[from..off]));
+                }
+                d[off..off + len].copy_from_slice(&s[off..off + len]);
+                from = off + len;
+            }
+            if memo.is_some() {
+                guard.set_memo(sum.wrapping_add(kept));
+            }
+            return;
+        }
+    }
+    copy_spans(dst, src, runs.iter().map(|&(off, len)| (off, off, len)));
+}
+
+/// The one body of [`copy_rows`] and [`copy_runs`]: copy every
+/// `(dst_off, src_off, len)` span in order.
+fn copy_spans(dst: &Slab, src: &Slab, spans: impl Iterator<Item = (usize, usize, usize)>) {
     let mut delta = 0u64;
     if dst.same_storage(src) {
         let (mut guard, memo) = dst.write_tracked();
         let Some(v) = guard.cells_mut() else {
             return;
         };
-        for (d, s) in rows {
+        for (d, s, nx) in spans {
             if memo.is_some() {
                 delta = delta.wrapping_sub(mix_sum(d, &v[d..d + nx]));
             }
@@ -715,7 +782,7 @@ pub fn copy_rows(
     let Some(d) = guard.cells_mut() else {
         return;
     };
-    for (doff, soff) in rows {
+    for (doff, soff, nx) in spans {
         let (to, from) = (&mut d[doff..doff + nx], &s[soff..soff + nx]);
         if memo.is_some() {
             delta = delta
@@ -834,6 +901,20 @@ mod tests {
         let a = Slab::real(4);
         let b = Slab::real(4);
         copy_rows(&a, &b, 2, [(3, 0)]);
+    }
+
+    #[test]
+    fn copy_runs_moves_only_the_runs() {
+        let src = Slab::from_vec((0..8).map(f64::from).collect());
+        let dst = Slab::from_vec(vec![-1.0; 8]);
+        copy_runs(&dst, &src, &[(0, 2), (5, 3)]);
+        assert_eq!(
+            dst.snapshot().unwrap(),
+            vec![0.0, 1.0, -1.0, -1.0, -1.0, 5.0, 6.0, 7.0]
+        );
+        let stamp = dst.stamp();
+        copy_runs(&dst, &Slab::virtual_(8), &[(0, 8)]);
+        assert_eq!(dst.stamp(), stamp, "a virtual side moves nothing");
     }
 
     #[test]
@@ -959,6 +1040,8 @@ mod tests {
         check("copy_rows destination", &s);
         copy_rows(&s, &s.clone(), 2, [(2, 0)]);
         check("copy_rows onto itself", &s);
+        copy_runs(&s, &other, &[(1, 2)]);
+        check("copy_runs destination", &s);
         assert!(s.flip_bit(3, 0, 4));
         check("flip_bit", &s);
         s.dematerialize();
@@ -1053,6 +1136,8 @@ mod tests {
         copy_rows(&dst, &src, 4, [(0, 36), (30, 2)]);
         copy_rows(&dst, &dst.clone(), 3, [(10, 12)]);
         assert!(memo_valid(&dst), "row copies move the memo");
+        copy_runs(&dst, &src, &[(1, 3), (9, 17), (39, 1)]);
+        assert!(memo_valid(&dst), "run copies move the memo");
         assert_eq!(dst.digest(), fresh(&dst));
 
         // A whole-slab copy hands the source's memo over as it is.
@@ -1092,6 +1177,47 @@ mod tests {
     }
 
     #[test]
+    fn a_run_copy_over_most_of_a_slab_corrects_the_source_sum() {
+        let src = Slab::from_vec((0..40).map(|i| i as f64 * 0.25).collect());
+        let dst = Slab::from_vec((0..40).map(|i| 100.0 - i as f64).collect());
+        let fresh = |s: &Slab| s.with(|d| d.map(word_digest));
+        src.digest();
+        dst.digest();
+        copy_runs(&dst, &src, &[(0, 12), (15, 20), (36, 4)]);
+        assert!(memo_valid(&dst), "the corrected source sum is the memo");
+        assert_eq!(dst.digest(), fresh(&dst));
+        let (d, s) = (dst.snapshot().unwrap(), src.snapshot().unwrap());
+        assert_eq!(d[..12], s[..12]);
+        assert_eq!(d[12..15], [88.0, 87.0, 86.0]);
+        assert_eq!(d[35], 65.0);
+        // A destination without a memo gets none.
+        let bare = Slab::from_vec(vec![1.0; 40]);
+        copy_runs(&bare, &src, &[(0, 39)]);
+        assert!(!memo_valid(&bare));
+        assert_eq!(bare.snapshot().unwrap()[..39], s[..39]);
+    }
+
+    #[test]
+    fn a_run_copy_into_a_demand_zero_slab_takes_all_its_pages() {
+        let n = 3 * DEMAND_ZERO_MIN_LEN;
+        let src = Slab::from_vec((0..n).map(|i| i as f64).collect());
+        let dst = Slab::real(n);
+        assert!(dst.inner.read().is_demand_zero());
+        copy_runs(&dst, &src, &[(5, 2)]);
+        let d = dst.snapshot().unwrap();
+        assert_eq!(d[5..7], [5.0, 6.0]);
+        assert!(d
+            .iter()
+            .enumerate()
+            .all(|(i, &x)| x == 0.0 || (5..7).contains(&i)));
+        // A virtual source moves nothing, so a demand-zero destination
+        // stays as it is.
+        let idle = Slab::real(n);
+        copy_runs(&idle, &Slab::virtual_(n), &[(0, 1)]);
+        assert!(idle.inner.read().is_demand_zero());
+    }
+
+    #[test]
     fn a_strike_is_seen_through_the_memo() {
         let s = Slab::from_vec((0..64).map(|i| i as f64).collect());
         let clean = s.digest().unwrap();
@@ -1124,6 +1250,8 @@ mod tests {
         Copy(usize, usize, usize, usize, usize),
         /// `(dst, src, nx, row picks)`.
         CopyRows(usize, usize, usize, Vec<(usize, usize)>),
+        /// `(dst, src, cut points)`: runs between alternate cuts.
+        CopyRuns(usize, usize, Vec<usize>),
         Flip(usize, u64),
         Read(usize),
         Dematerialize(usize),
@@ -1155,6 +1283,12 @@ mod tests {
                 proptest::collection::vec((0usize..4096, 0usize..4096), 0..6)
             )
                 .prop_map(|(d, s, nx, rows)| SlabOp::CopyRows(d, s, nx, rows)),
+            (
+                b.clone(),
+                b.clone(),
+                proptest::collection::vec(0usize..4096, 0..8)
+            )
+                .prop_map(|(d, s, cuts)| SlabOp::CopyRuns(d, s, cuts)),
             (b.clone(), any::<u64>()).prop_map(|(b, k)| SlabOp::Flip(b, k)),
             b.clone().prop_map(SlabOp::Read),
             b.clone().prop_map(SlabOp::Dematerialize),
@@ -1248,6 +1382,20 @@ mod tests {
                             })
                             .collect();
                         copy_rows(&pool[d], &pool[s], nx, rows);
+                        if d == s || !pool[s].is_virtual() {
+                            wrote = Some(d);
+                        }
+                    }
+                    SlabOp::CopyRuns(d, s, cuts) => {
+                        let n = pool[d].len().min(pool[s].len());
+                        let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (n + 1)).collect();
+                        cuts.sort_unstable();
+                        cuts.dedup();
+                        let runs: Vec<(usize, usize)> = cuts
+                            .chunks_exact(2)
+                            .map(|c| (c[0], c[1] - c[0]))
+                            .collect();
+                        copy_runs(&pool[d], &pool[s], &runs);
                         if d == s || !pool[s].is_virtual() {
                             wrote = Some(d);
                         }

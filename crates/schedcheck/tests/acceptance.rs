@@ -176,6 +176,14 @@ fn heat_prefetch_schedules_are_invariant_under_dpor() {
         stats.prefetch_loads > 0,
         "lookahead-2 must actually prefetch"
     );
+    // Both part-dirty write-back kinds (pack, gathered copy, unpack) sit
+    // in the explored op chain.
+    assert!(
+        stats.writebacks_valid_only > 0 && stats.writebacks_shell_only > 0,
+        "valid-only / shell-only write-backs: {} / {}",
+        stats.writebacks_valid_only,
+        stats.writebacks_shell_only
+    );
 
     let report = checker.explore(Strategy::Dpor { max_schedules: 40 });
     assert!(

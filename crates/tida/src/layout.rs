@@ -72,6 +72,75 @@ impl Layout {
     pub fn stride_z(&self) -> usize {
         self.stride_z as usize
     }
+
+    /// The cells of `bx` as contiguous offset runs `(offset, len)` in
+    /// layout order, abutting runs merged: one run per x-row of `bx`, or
+    /// fewer when rows span the layout's whole width.
+    ///
+    /// Panics when `bx` escapes the layout's box.
+    pub fn box_runs(&self, bx: Box3) -> Vec<(usize, usize)> {
+        assert!(
+            self.bx.contains_box(&bx),
+            "box {bx} escapes layout box {}",
+            self.bx
+        );
+        let mut runs = Vec::new();
+        if bx.is_empty() {
+            return runs;
+        }
+        let (lo, hi) = (bx.lo(), bx.hi());
+        let nx = bx.size().x() as usize;
+        for z in lo.z()..=hi.z() {
+            for y in lo.y()..=hi.y() {
+                push_run(&mut runs, self.offset(IntVect::new(lo.x(), y, z)), nx);
+            }
+        }
+        runs
+    }
+
+    /// The cells of the layout's box *outside* `inner`, as merged offset
+    /// runs in layout order — the ghost shell, when `inner` is a region's
+    /// valid box. Together with [`Layout::box_runs`]`(inner)` it covers
+    /// every cell exactly once.
+    ///
+    /// Panics when `inner` escapes the layout's box.
+    pub fn shell_runs(&self, inner: Box3) -> Vec<(usize, usize)> {
+        assert!(
+            self.bx.contains_box(&inner),
+            "box {inner} escapes layout box {}",
+            self.bx
+        );
+        let (lo, hi) = (self.bx.lo(), self.bx.hi());
+        let width = self.stride_y as usize;
+        let mut runs = Vec::new();
+        for z in lo.z()..=hi.z() {
+            for y in lo.y()..=hi.y() {
+                let start = self.offset(IntVect::new(lo.x(), y, z));
+                if !inner.contains(IntVect::new(inner.lo().x(), y, z)) {
+                    push_run(&mut runs, start, width);
+                    continue;
+                }
+                // The row crosses `inner`: keep the cells either side of it.
+                let before = (inner.lo().x() - lo.x()) as usize;
+                let after = (inner.hi().x() - lo.x() + 1) as usize;
+                push_run(&mut runs, start, before);
+                push_run(&mut runs, start + after, width - after);
+            }
+        }
+        runs
+    }
+}
+
+/// Append the run `(off, len)`, merging it into the last run when the two
+/// abut. Empty runs are dropped.
+fn push_run(runs: &mut Vec<(usize, usize)>, off: usize, len: usize) {
+    if len == 0 {
+        return;
+    }
+    match runs.last_mut() {
+        Some(last) if last.0 + last.1 == off => last.1 += len,
+        _ => runs.push((off, len)),
+    }
 }
 
 /// The x-rows of a ghost patch, for `memslab::copy_rows`: the row length
@@ -160,6 +229,21 @@ mod tests {
     }
 
     #[test]
+    fn box_and_shell_runs_in_layout_order() {
+        let l = Layout::new(Box3::from_size(IntVect::new(4, 3, 3)));
+        let inner = Box3::new(IntVect::new(1, 1, 1), IntVect::new(2, 1, 1));
+        assert_eq!(l.box_runs(inner), vec![(17, 2)]);
+        // Everything up to the inner row, then the rest of the layout.
+        assert_eq!(l.shell_runs(inner), vec![(0, 17), (19, 17)]);
+        // Full-width rows merge into one run per plane, then across planes.
+        let slab = Box3::new(IntVect::new(0, 0, 1), IntVect::new(3, 2, 2));
+        assert_eq!(l.box_runs(slab), vec![(12, 24)]);
+        assert_eq!(l.shell_runs(l.domain()), Vec::<(usize, usize)>::new());
+        assert_eq!(l.box_runs(Box3::EMPTY), Vec::<(usize, usize)>::new());
+        assert_eq!(l.shell_runs(Box3::EMPTY), vec![(0, l.len())]);
+    }
+
+    #[test]
     #[should_panic(expected = "escapes")]
     fn patch_rows_escaping_box_panics() {
         let l = Layout::new(Box3::from_size(IntVect::splat(2)));
@@ -180,6 +264,37 @@ mod tests {
     }
 
     proptest! {
+        /// `box_runs(inner)` holds exactly the offsets of `inner`'s cells and
+        /// `shell_runs(inner)` exactly the rest, each run maximal.
+        #[test]
+        fn prop_box_and_shell_runs_partition_the_layout(
+            size in proptest::array::uniform3(1i64..7),
+            inner_lo in proptest::array::uniform3(0i64..7),
+            inner_size in proptest::array::uniform3(0i64..7),
+        ) {
+            let l = Layout::new(Box3::from_size(IntVect(size)));
+            let lo = IntVect(inner_lo).min(IntVect(size) - IntVect::UNIT);
+            let hi = (lo + IntVect(inner_size) - IntVect::UNIT).min(l.domain().hi());
+            let inner = Box3::new(lo, hi);
+            let mut owner = vec![0u8; l.len()];
+            for (runs, tag) in [(l.box_runs(inner), 1u8), (l.shell_runs(inner), 2u8)] {
+                for w in runs.windows(2) {
+                    prop_assert!(w[0].0 + w[0].1 < w[1].0, "runs sorted and merged");
+                }
+                for (off, len) in runs {
+                    prop_assert!(len > 0);
+                    for (o, cell) in owner[off..off + len].iter_mut().enumerate() {
+                        prop_assert_eq!(*cell, 0, "offset {} covered twice", off + o);
+                        *cell = tag;
+                    }
+                }
+            }
+            for (o, &cell) in owner.iter().enumerate() {
+                let want = if inner.contains(l.cell_at(o)) { 1 } else { 2 };
+                prop_assert_eq!(cell, want, "offset {}", o);
+            }
+        }
+
         /// offset() is a bijection from cells to 0..len().
         #[test]
         fn prop_offset_bijective(
