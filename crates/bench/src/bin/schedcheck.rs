@@ -87,13 +87,21 @@ fn main_tier() -> Vec<Lane> {
         },
         // Cluster skeleton: exhaustive over the two-node, three-region
         // ghost exchange — 24310 = C(17,8) interleavings of the two
-        // per-node op chains, network deliveries included.
+        // per-node op chains, network deliveries included — staged
+        // through the host, then face-packed (2600 schedules).
         Lane {
             name: "cluster-ghost-exhaustive",
             strategy: Strategy::Exhaustive {
                 max_schedules: 30_000,
             },
             program: programs::cluster_ghost(),
+        },
+        Lane {
+            name: "cluster-ghost-face-packed-exhaustive",
+            strategy: Strategy::Exhaustive {
+                max_schedules: 30_000,
+            },
+            program: programs::cluster_ghost_face_packed(),
         },
         Lane {
             name: "cluster-heat-small-dpor",

@@ -13,17 +13,28 @@
 //!
 //! Each step runs five strictly ordered phases across all regions (phase
 //! k finishes submission for every region before phase k+1 starts for
-//! any), the classic nonblocking halo-exchange shape:
+//! any), the classic nonblocking halo-exchange shape. What each phase
+//! moves comes from the source array's *exchange plan*, built once per
+//! owner map for the cluster's [`Transport`]: under
+//! [`Transport::FacePacked`] (the default) only the ghost patches whose
+//! two regions live on different devices travel, and the rest are
+//! filled on the device; under [`Transport::HostStaged`] every region
+//! stages its whole grown slab out and back in, and every patch travels.
 //!
-//! 1. **Stage out** — per region, the source array's grown slab is copied
-//!    device→host on the region's *exchange stream*, ordered after the
-//!    previous step's kernels by an event from the *compute stream*. A
-//!    region whose source is not yet resident (step 0, post-restore) is
-//!    uploaded instead; the host copy is already authoritative.
+//! 1. **Stage out** — per region, the cells of the source that leave the
+//!    device are copied device→host on the region's *exchange stream*,
+//!    ordered after the previous step's kernels by an event from the
+//!    *compute stream*. A region whose source is not yet resident (step
+//!    0, post-restore) is uploaded whole instead; the host copy is
+//!    already authoritative.
 //! 2. **Interior compute** — the stencil over `valid.grow(-ghost)` runs
 //!    on the compute stream. It reads only valid cells, so it needs no
-//!    ghost data and overlaps the wire traffic of phase 3.
-//! 3. **Send** — per ghost patch, in deterministic patch-list order: the
+//!    ghost data and overlaps the wire traffic of phase 3. Behind it, a
+//!    region with same-device patches gets one *ghost-fill* kernel that
+//!    copies them from its neighbours' device buffers (face-packed only).
+//!    The fills of one device run one after another, each after its
+//!    region's stage-out copy and after its sources' last writers.
+//! 3. **Send** — per wire patch, in deterministic patch-list order: the
 //!    send timestamp is the staging copy's completion time (probed with
 //!    [`GpuSystem::op_completion`], which never blocks the simulated
 //!    host), the payload is gathered from the source host slab, the
@@ -32,13 +43,25 @@
 //!    ([`GpuSystem::net_deliver`]) on the destination region's exchange
 //!    stream, whose data effect scatters the payload into the
 //!    destination host slab.
-//! 4. **Stage in** — per region, the full grown slab (now holding fresh
-//!    ghosts) is uploaded on the exchange stream, ordered after the
-//!    interior kernel by an event (the upload writes cells the interior
-//!    kernel reads).
+//! 4. **Stage in** — per region that received anything, the received
+//!    ghost cells are uploaded on the exchange stream, ordered after the
+//!    interior kernel (the upload writes the buffer it reads) and after
+//!    the device's last fill (the fills read it too).
 //! 5. **Boundary compute** — the shell of the valid box (the onion peel
 //!    `valid ∖ interior`, at most six boxes) runs on the compute stream,
-//!    ordered after the upload by an event.
+//!    ordered after the upload, or after the device's last fill when
+//!    nothing was uploaded.
+//!
+//! A copy of a region's runs is whichever of two shapes
+//! [`MachineConfig`] prices lower: ranged copies covering the runs and
+//! the gaps between them, or one packed copy
+//! ([`GpuSystem::memcpy_d2h_gather_async`] out,
+//! [`GpuSystem::memcpy_h2d_scatter_async`] in). A device→host copy may
+//! cover any gap, since the host copy of a resident region is not
+//! authoritative; a host→device copy may cover a gap only if it holds no
+//! valid cell and no cell the fill writes. A face-packed stage-out leaves
+//! the host copy stale, so the region stays dirty and
+//! [`Cluster::sync_to_host`] still drains whole slabs.
 //!
 //! Only same-stream ordering and events order work, so every node's
 //! schedule stays maximally concurrent; the cross-node dependencies are
@@ -67,15 +90,18 @@
 //! so results stay bit-identical under any link-fault schedule.
 
 pub mod net;
+mod plan;
 
 pub use gpu_sim::LinkFault;
 pub use net::{Delivery, LinkClass, NetConfig, NetStats, NetworkModel};
+pub use plan::Transport;
 
 use gpu_sim::{
-    DeviceBuffer, FaultPlan, GpuSystem, HostBuffer, HostMemKind, KernelCost, KernelLaunch,
+    DeviceBuffer, Event, FaultPlan, GpuSystem, HostBuffer, HostMemKind, KernelCost, KernelLaunch,
     MachineConfig, OpId, SimTime, StreamId,
 };
 use memslab::Slab;
+use plan::{ExchangePlan, Xfer};
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -104,6 +130,8 @@ pub struct ClusterConfig {
     pub fault: FaultPlan,
     /// Whether slabs carry data (`false` = timing-only virtual run).
     pub backed: bool,
+    /// How ghost data moves between regions (see [`Transport`]).
+    pub transport: Transport,
 }
 
 impl ClusterConfig {
@@ -116,6 +144,7 @@ impl ClusterConfig {
             net: NetConfig::default(),
             fault: FaultPlan::none(),
             backed: true,
+            transport: Transport::default(),
         }
     }
 
@@ -142,6 +171,11 @@ impl ClusterConfig {
 
     pub fn backed(mut self, backed: bool) -> Self {
         self.backed = backed;
+        self
+    }
+
+    pub fn transport(mut self, transport: Transport) -> Self {
+        self.transport = transport;
         self
     }
 }
@@ -222,6 +256,13 @@ impl std::fmt::Display for ClusterError {
 
 impl std::error::Error for ClusterError {}
 
+/// Which way a staging copy moves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Dir {
+    H2d,
+    D2h,
+}
+
 struct CArray {
     array: TileArray,
     /// Per-region host buffer handle *on the region's current owner node*
@@ -248,6 +289,9 @@ pub struct Cluster {
     xstream: Vec<StreamId>,
     kernel_efficiency: f64,
     initialized: bool,
+    transport: Transport,
+    /// Per-array exchange plan for the current owners (built with them).
+    plans: Vec<Arc<ExchangePlan>>,
     retry: RetryPolicy,
     /// Per-*node* health scores fed by the transfer retry loops.
     health: HealthMonitor,
@@ -284,6 +328,8 @@ impl Cluster {
             xstream: Vec::new(),
             kernel_efficiency: 0.95,
             initialized: false,
+            transport: cfg.transport,
+            plans: Vec::new(),
             retry: RetryPolicy::new(8, SimTime::from_us(20)),
             health,
             stats: AccStats::default(),
@@ -508,47 +554,63 @@ impl Cluster {
             self.arrays[ai].resident = vec![false; regions];
             self.arrays[ai].dirty = vec![false; regions];
         }
+        self.build_plans();
         self.initialized = true;
         Ok(())
     }
 
-    /// Upload region `r` of array `a` (full grown slab) on the given
-    /// stream, with the standard retry loop.
-    fn h2d_grown(&mut self, a: usize, r: usize, stream: StreamId) -> Result<OpId, ClusterError> {
-        let node = self.node_of(r);
-        let len = self.arrays[a].array.region(r).slab.len();
-        let (dev, host) = (self.arrays[a].dev[r], self.arrays[a].host[r]);
-        let mut op = self.nodes[node].memcpy_h2d_async(dev, 0, host, 0, len, stream);
-        let mut attempt: u32 = 0;
-        while self.nodes[node].op_faulted(op) {
-            if self.nodes[node].crashed() {
-                return Err(ClusterError::Crashed { node });
-            }
-            if self.nodes[node].device_lost(self.dev_of(r)) {
-                return Err(ClusterError::NodeLost { node });
-            }
-            self.health.observe_fault(node);
-            if self.retry.exhausted(attempt) {
-                return Err(ClusterError::TransferExhausted { region: r });
-            }
-            self.stats.transfer_retries += 1;
-            self.nodes[node].backoff_work(self.retry.backoff(attempt), "h2d-retry-backoff");
-            op = self.nodes[node].memcpy_h2d_async(dev, 0, host, 0, len, stream);
-            attempt += 1;
+    /// Plan every array's exchange for the current owners. Arrays of one
+    /// ghost width and exchange mode have the same patches and layouts,
+    /// so they share one plan.
+    fn build_plans(&mut self) {
+        let cfg = self.nodes[0].config();
+        let shape = |a: &TileArray| (a.ghost(), a.exchange_mode());
+        let mut plans: Vec<Arc<ExchangePlan>> = Vec::with_capacity(self.arrays.len());
+        for (i, e) in self.arrays.iter().enumerate() {
+            let same = (0..i).find(|&j| shape(&self.arrays[j].array) == shape(&e.array));
+            plans.push(match same {
+                Some(j) => Arc::clone(&plans[j]),
+                None => Arc::new(ExchangePlan::build(
+                    self.transport,
+                    &e.array,
+                    &self.owner,
+                    cfg,
+                )),
+            });
         }
-        self.health.observe_success(node);
-        Ok(op)
+        self.plans = plans;
     }
 
-    /// Stage region `r` of array `a` home (full grown slab) on the
-    /// exchange stream. Retries like the upload path; past the budget the
-    /// fault-exempt salvage copy still gets the data home.
-    fn d2h_grown(&mut self, a: usize, r: usize) -> Result<OpId, ClusterError> {
+    /// Move the cells `x` of region `r` of array `a` between its host and
+    /// device copies in direction `dir`, on `stream`, with the standard
+    /// retry loop. Past the budget an upload fails; a download falls back
+    /// to the fault-exempt salvage copy of the range holding `x`, which
+    /// still gets the data home.
+    fn transfer(
+        &mut self,
+        dir: Dir,
+        a: usize,
+        r: usize,
+        x: &Xfer,
+        stream: StreamId,
+    ) -> Result<OpId, ClusterError> {
         let node = self.node_of(r);
-        let stream = self.xstream[r];
-        let len = self.arrays[a].array.region(r).slab.len();
         let (dev, host) = (self.arrays[a].dev[r], self.arrays[a].host[r]);
-        let mut op = self.nodes[node].memcpy_d2h_async(host, 0, dev, 0, len, stream);
+        let issue = |gpu: &mut GpuSystem| match (dir, x) {
+            (Dir::H2d, &Xfer::Range { off, len }) => {
+                gpu.memcpy_h2d_async(dev, off, host, off, len, stream)
+            }
+            (Dir::D2h, &Xfer::Range { off, len }) => {
+                gpu.memcpy_d2h_async(host, off, dev, off, len, stream)
+            }
+            (Dir::H2d, Xfer::Packed(runs)) => {
+                gpu.memcpy_h2d_scatter_async(dev, host, Arc::clone(runs), stream)
+            }
+            (Dir::D2h, Xfer::Packed(runs)) => {
+                gpu.memcpy_d2h_gather_async(host, dev, Arc::clone(runs), stream)
+            }
+        };
+        let mut op = issue(&mut self.nodes[node]);
         let mut attempt: u32 = 0;
         while self.nodes[node].op_faulted(op) {
             if self.nodes[node].crashed() {
@@ -559,19 +621,32 @@ impl Cluster {
             }
             self.health.observe_fault(node);
             if self.retry.exhausted(attempt) {
+                if dir == Dir::H2d {
+                    return Err(ClusterError::TransferExhausted { region: r });
+                }
                 self.stats.salvaged_regions += 1;
-                op = self.nodes[node].memcpy_d2h_salvage(host, 0, dev, 0, len, stream);
+                let (off, len) = x.span();
+                op = self.nodes[node].memcpy_d2h_salvage(host, off, dev, off, len, stream);
                 break;
             }
             self.stats.transfer_retries += 1;
-            self.nodes[node].backoff_work(self.retry.backoff(attempt), "d2h-retry-backoff");
-            op = self.nodes[node].memcpy_d2h_async(host, 0, dev, 0, len, stream);
+            let label = match dir {
+                Dir::H2d => "h2d-retry-backoff",
+                Dir::D2h => "d2h-retry-backoff",
+            };
+            self.nodes[node].backoff_work(self.retry.backoff(attempt), label);
+            op = issue(&mut self.nodes[node]);
             attempt += 1;
         }
         if !self.nodes[node].op_faulted(op) {
             self.health.observe_success(node);
         }
         Ok(op)
+    }
+
+    /// Region `r` of array `a`'s whole grown slab as one copy.
+    fn whole(&self, a: usize, r: usize) -> Xfer {
+        Xfer::whole(self.arrays[a].array.region(r).slab.len())
     }
 
     /// Upload a read-only operand (e.g. a Jacobi right-hand side) once;
@@ -581,7 +656,8 @@ impl Cluster {
             return Ok(());
         }
         self.stats.loads += 1;
-        self.h2d_grown(a.0, r, self.cstream[r])?;
+        let whole = self.whole(a.0, r);
+        self.transfer(Dir::H2d, a.0, r, &whole, self.cstream[r])?;
         self.arrays[a.0].resident[r] = true;
         self.arrays[a.0].dirty[r] = false;
         Ok(())
@@ -665,33 +741,49 @@ impl Cluster {
         self.ensure_init()?;
         let regions = self.num_regions();
         let ghost = self.arrays[src.0].array.ghost();
+        let plan = Arc::clone(&self.plans[src.0]);
 
         // Phase 1: stage the source out (or up). `staged[r]` is the
         // transfer whose completion timestamps the region's sends; `None`
         // means the host copy was authoritative before any simulated
-        // work, so sends are ready at time zero.
+        // work, so sends are ready at time zero. `ready[r]` orders work
+        // that reads the region's device copy after its last writer: the
+        // previous step's kernels, or this step's upload.
         let mut staged: Vec<Option<OpId>> = Vec::with_capacity(regions);
+        let mut ready: Vec<Event> = Vec::with_capacity(regions);
         for r in 0..regions {
             self.check_region(r)?;
             let node = self.node_of(r);
+            let rp = &plan.regions[r];
+            let resident = self.arrays[src.0].resident[r];
             // Order the exchange after the previous step's kernels.
             let ev_k = self.nodes[node].record_event(self.cstream[r]);
-            self.nodes[node].stream_wait_event(self.xstream[r], ev_k);
-            if self.arrays[src.0].resident[r] {
-                let op = self.d2h_grown(src.0, r)?;
-                // Host now mirrors the device copy exactly.
-                self.arrays[src.0].dirty[r] = false;
-                staged.push(Some(op));
+            if !resident || plan.uses_exchange_stream(r) {
+                self.nodes[node].stream_wait_event(self.xstream[r], ev_k);
+            }
+            if resident {
+                let mut last = None;
+                for x in plan.send(r) {
+                    last = Some(self.transfer(Dir::D2h, src.0, r, x, self.xstream[r])?);
+                }
+                if rp.send_whole {
+                    // Host now mirrors the device copy exactly.
+                    self.arrays[src.0].dirty[r] = false;
+                }
+                staged.push(last);
+                ready.push(ev_k);
             } else {
                 // Step 0 / post-restore: the host copy is authoritative —
                 // upload it for the kernels and send straight from it.
                 self.stats.loads += 1;
-                self.h2d_grown(src.0, r, self.xstream[r])?;
+                let whole = self.whole(src.0, r);
+                self.transfer(Dir::H2d, src.0, r, &whole, self.xstream[r])?;
                 let ev_up = self.nodes[node].record_event(self.xstream[r]);
                 self.nodes[node].stream_wait_event(self.cstream[r], ev_up);
                 self.arrays[src.0].resident[r] = true;
                 self.arrays[src.0].dirty[r] = false;
                 staged.push(None);
+                ready.push(ev_up);
             }
             if let Some(a) = aux {
                 self.ensure_aux_resident(a, r)?;
@@ -725,14 +817,39 @@ impl Cluster {
             interiors.push(interior);
         }
 
-        // Phase 3: price and deliver every ghost patch, in deterministic
+        // Device-side ghost fills, chained per device: a fill writes its
+        // region's buffer and reads its neighbours', so no two may run at
+        // once. Each waits for its region's send copy (which reads the
+        // buffer it writes) and for its sources' last writers.
+        // `filled[slot]` is the device's last fill.
+        let mut filled: Vec<Option<Event>> = Vec::new();
+        if plan.fills {
+            filled.resize(self.nodes.len() * self.dpn, None);
+            for r in 0..regions {
+                if let Some(fill) = &plan.regions[r].fill {
+                    let ev = self.launch_fill(
+                        src,
+                        r,
+                        fill,
+                        staged[r].is_some(),
+                        &ready,
+                        filled[self.owner[r]],
+                    );
+                    filled[self.owner[r]] = Some(ev);
+                    self.check_region(r)?;
+                }
+            }
+        }
+
+        // Phase 3: price and deliver every wire patch, in deterministic
         // patch-list order. The send timestamp is the staging copy's
         // completion time, probed without blocking the simulated host;
         // probing also forces the copy's data effect, so the driver-side
         // gather below reads fresh host data.
         let patches = self.arrays[src.0].array.patches_arc();
         let mut send_at: Vec<Option<SimTime>> = vec![None; regions];
-        for p in patches.iter() {
+        for &i in &plan.wire {
+            let p = &patches[i];
             let (sr, dr) = (p.src_region, p.dst_region);
             let src_node = self.node_of(sr);
             let dst_node = self.node_of(dr);
@@ -778,18 +895,33 @@ impl Cluster {
         }
 
         // Phases 4 + 5: once a region's deliveries are in (stream order
-        // on its exchange stream), upload the refreshed grown slab —
-        // after the interior kernel releases its read of the source
-        // device cells — and run the boundary shell behind it.
+        // on its exchange stream), upload the received ghosts — after the
+        // interior kernel releases its read of the source device cells
+        // and after the device's fills stop reading them — and run the
+        // boundary shell behind it.
         for (r, interior) in interiors.into_iter().enumerate() {
             let node = self.node_of(r);
-            if !interior.is_empty() {
-                let ev_int = self.nodes[node].record_event(self.cstream[r]);
-                self.nodes[node].stream_wait_event(self.xstream[r], ev_int);
+            let fills_done = filled.get(self.owner[r]).copied().flatten();
+            if plan.recv(r).is_empty() {
+                // Later steps overwrite this region's buffers, which the
+                // device's fills read.
+                if let Some(ev) = fills_done {
+                    self.nodes[node].stream_wait_event(self.cstream[r], ev);
+                }
+            } else {
+                if !interior.is_empty() {
+                    let ev_int = self.nodes[node].record_event(self.cstream[r]);
+                    self.nodes[node].stream_wait_event(self.xstream[r], ev_int);
+                }
+                if let Some(ev) = fills_done {
+                    self.nodes[node].stream_wait_event(self.xstream[r], ev);
+                }
+                for x in plan.recv(r) {
+                    self.transfer(Dir::H2d, src.0, r, x, self.xstream[r])?;
+                }
+                let ev_ghosts = self.nodes[node].record_event(self.xstream[r]);
+                self.nodes[node].stream_wait_event(self.cstream[r], ev_ghosts);
             }
-            self.h2d_grown(src.0, r, self.xstream[r])?;
-            let ev_ghosts = self.nodes[node].record_event(self.xstream[r]);
-            self.nodes[node].stream_wait_event(self.cstream[r], ev_ghosts);
             let valid = self.arrays[dst.0].array.region(r).valid;
             for bx in shell_boxes(valid, interior) {
                 self.launch_stencil(dst, src, aux, r, bx, cost(bx.num_cells()), label, f.clone());
@@ -798,6 +930,68 @@ impl Cluster {
             self.check_region(r)?;
         }
         Ok(())
+    }
+
+    /// Launch region `r`'s ghost fill of array `a` on its compute stream:
+    /// one kernel copying every same-device patch into the region's
+    /// ghosts. It runs after the region's send copy when `sent`, after
+    /// its sources' `ready` events and after the device's previous fill
+    /// `prev`. Returns the event the next fill on the device waits for.
+    fn launch_fill(
+        &mut self,
+        a: ArrayId,
+        r: usize,
+        fill: &plan::Fill,
+        sent: bool,
+        ready: &[Event],
+        prev: Option<Event>,
+    ) -> Event {
+        let node = self.node_of(r);
+        let cs = self.cstream[r];
+        if sent {
+            let ev = self.nodes[node].record_event(self.xstream[r]);
+            self.nodes[node].stream_wait_event(cs, ev);
+        }
+        for &s in &fill.sources {
+            self.nodes[node].stream_wait_event(cs, ready[s]);
+        }
+        if let Some(ev) = prev {
+            self.nodes[node].stream_wait_event(cs, ev);
+        }
+        let arr = &self.arrays[a.0];
+        let dev = arr.dev[r];
+        let backed = self.nodes[node].backed();
+        let dst_slab = self.nodes[node].device_slab(dev);
+        let dst_layout = arr.array.region(r).layout;
+        let parts: Vec<_> = if backed {
+            fill.patches
+                .iter()
+                .map(|p| {
+                    let src_slab = self.nodes[node].device_slab(arr.dev[p.src_region]);
+                    (*p, src_slab, arr.array.region(p.src_region).layout)
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let mut launch = KernelLaunch::new("ghost-fill", KernelCost::Bytes(16 * fill.cells))
+            .efficiency(self.kernel_efficiency)
+            .writes(dev.into())
+            .exec_if(backed, move || {
+                for (p, src_slab, src_layout) in &parts {
+                    let (nx, rows) = tida::patch_rows(dst_layout, *src_layout, p.dst_box, p.shift);
+                    memslab::copy_rows(&dst_slab, src_slab, nx, rows);
+                }
+            });
+        if fill.reads_self {
+            launch = launch.reads(dev.into());
+        }
+        for &s in &fill.sources {
+            launch = launch.reads(arr.dev[s].into());
+        }
+        self.nodes[node].launch_kernel(cs, launch);
+        self.stats.ghost_gpu += fill.patches.len() as u64;
+        self.nodes[node].record_event(cs)
     }
 
     // ------------------------------------------------------------------
@@ -814,7 +1008,8 @@ impl Cluster {
             self.stats.host_syncs += 1;
             let ev_k = self.nodes[node].record_event(self.cstream[r]);
             self.nodes[node].stream_wait_event(self.xstream[r], ev_k);
-            self.d2h_grown(a.0, r)?;
+            let whole = self.whole(a.0, r);
+            self.transfer(Dir::D2h, a.0, r, &whole, self.xstream[r])?;
         }
         let stream = self.xstream[r];
         self.nodes[node].stream_synchronize(stream);
@@ -876,8 +1071,9 @@ impl Cluster {
         })
     }
 
-    /// Rebuild host state from a snapshot; all residency is dropped (the
-    /// host copies are authoritative afterwards).
+    /// Rebuild host state from a snapshot once every node has drained;
+    /// all residency is dropped (the host copies are authoritative
+    /// afterwards).
     pub fn restore(&mut self, ck: &Checkpoint) -> Result<(), CheckpointError> {
         if ck.data.len() != self.arrays.len() {
             return Err(CheckpointError::Incompatible);
@@ -895,6 +1091,10 @@ impl Cluster {
         if ck.cache.iter().any(|&c| c != -1) || ck.dirty.iter().any(|&d| d) {
             return Err(CheckpointError::Incompatible);
         }
+        // Quiesce first: an aborted step's copies and deliveries still in
+        // flight would otherwise land in the restored host slabs, whose
+        // storage the nodes share.
+        self.finish();
         for (e, regions) in self.arrays.iter().zip(&ck.data) {
             for (r, saved) in e.array.regions().iter().zip(regions) {
                 if !saved.is_empty() {
@@ -992,6 +1192,7 @@ impl Cluster {
                 self.stats.migration_restage_bytes += bytes;
             }
         }
+        self.build_plans();
         Ok(())
     }
 
@@ -1117,7 +1318,7 @@ mod tests {
     #[test]
     fn one_node_heat_matches_golden() {
         let (_, a, b) = heat_arrays(8, 4, true);
-        let mut cl = Cluster::new(ClusterConfig::new(1));
+        let mut cl = Cluster::new(ClusterConfig::new(1).transport(Transport::HostStaged));
         cl.set_hazard_checking(true);
         let (src, dst) = (cl.register(&a), cl.register(&b));
         let last = drive_heat(&mut cl, src, dst, 3);
@@ -1133,6 +1334,37 @@ mod tests {
         let ns = cl.net_stats();
         assert!(ns.msgs_local > 0);
         assert_eq!(ns.msgs_inter, 0);
+    }
+
+    #[test]
+    fn one_node_face_packed_heat_stays_on_the_device() {
+        let (_, a, b) = heat_arrays(8, 4, true);
+        let mut cl = Cluster::new(ClusterConfig::new(1).transport(Transport::FacePacked));
+        cl.set_hazard_checking(true);
+        let (src, dst) = (cl.register(&a), cl.register(&b));
+        // Step only: the final drain is a whole-slab download.
+        for (s, t) in [(src, dst), (dst, src), (src, dst)] {
+            cl.step(t, s, None, heat::cost, "heat", |d, s, _aux, bx| {
+                heat::step_tile(d, s, &bx, heat::DEFAULT_FAC)
+            })
+            .unwrap();
+        }
+        // One device: every ghost is filled on it. Nothing goes on the
+        // wire, and PCIe carries only the step-0 upload of the source.
+        let ns = cl.net_stats();
+        assert_eq!(ns.msgs(), 0, "no message leaves the device");
+        assert_eq!(cl.bytes_net(), 0);
+        assert_eq!(cl.bytes_d2h(), 0);
+        let slabs: u64 = (0..4).map(|r| a.region(r).bytes()).sum();
+        assert_eq!(cl.bytes_h2d(), slabs, "only the step-0 upload");
+        assert!(cl.stats().ghost_gpu > 0);
+        cl.sync_to_host(dst).unwrap();
+        assert_eq!(
+            b.to_dense().unwrap(),
+            heat::golden_run(init, 8, 3, heat::DEFAULT_FAC),
+            "bitwise agreement with the dense golden"
+        );
+        assert_eq!(cl.hazard_total(), 0, "fills must be HB-clean");
     }
 
     #[test]

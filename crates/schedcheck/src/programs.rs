@@ -9,7 +9,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use cluster::{Cluster, ClusterConfig};
+use cluster::{Cluster, ClusterConfig, Transport};
 use desim::{ScheduleOracle, Trace};
 use gpu_sim::{FaultPlan, GpuSystem, HostMemKind, KernelLaunch, MachineConfig};
 use kernels::{heat, init};
@@ -445,14 +445,25 @@ pub fn fused_golden(cfg: &FusedConfig) -> Vec<f64> {
 /// kernel. Message arrivals are decision points like any other op, so the
 /// explorer enumerates network delivery orders alongside the stream
 /// interleavings.
+///
+/// The program stages through the host ([`Transport::HostStaged`]), so
+/// its schedule space is a fixed reference whatever the cluster's default
+/// transport.
 pub fn cluster_ghost() -> Program {
-    cluster_ghost_sized(6, 3)
+    cluster_ghost_sized(6, 3, Transport::HostStaged)
 }
 
-/// [`cluster_ghost`] with the domain edge and region count exposed, for
-/// sizing the exhaustive-DFS space: `Count(k)` z-slabs of a closed `n`³
-/// domain, owners assigned contiguously over two nodes.
-pub fn cluster_ghost_sized(n: i64, regions: usize) -> Program {
+/// [`cluster_ghost`] over the face-packed transport: only the region-1↔2
+/// faces are staged, the region-0↔1 ghosts are filled on node 0's
+/// device, and only the received face is uploaded.
+pub fn cluster_ghost_face_packed() -> Program {
+    cluster_ghost_sized(6, 3, Transport::FacePacked)
+}
+
+/// [`cluster_ghost`] with the domain edge, region count and transport
+/// exposed, for sizing the exhaustive-DFS space: `Count(k)` z-slabs of a
+/// closed `n`³ domain, owners assigned contiguously over two nodes.
+pub fn cluster_ghost_sized(n: i64, regions: usize, transport: Transport) -> Program {
     Box::new(move |oracle| {
         let decomp = Arc::new(Decomposition::new(
             Domain::closed(Box3::cube(n)),
@@ -462,7 +473,7 @@ pub fn cluster_ghost_sized(n: i64, regions: usize) -> Program {
         let ub = TileArray::new(decomp.clone(), 1, ExchangeMode::Faces, true);
         ua.fill_valid(init::hash_field(11));
 
-        let mut cl = Cluster::new(ClusterConfig::new(2));
+        let mut cl = Cluster::new(ClusterConfig::new(2).transport(transport));
         let traced = oracle.borrow().tracing();
         cl.set_tracing(traced);
         cl.set_hazard_checking(true);

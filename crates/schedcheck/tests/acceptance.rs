@@ -370,6 +370,54 @@ fn cluster_dpor_prunes_message_orders_but_agrees() {
     );
 }
 
+/// The same skeleton over the face-packed transport: node 0 fills the
+/// region-0↔1 ghosts on its device, and only the region-1↔2 faces are
+/// staged and sent. Exhaustive DFS must enumerate exactly the pinned
+/// count, every schedule agreeing with the FIFO golden (which is also
+/// the host-staged program's result), and DPOR must prune it.
+#[test]
+fn exhaustive_enumerates_face_packed_cluster_ghost_schedules() {
+    let checker = Checker::new(programs::cluster_ghost_face_packed(), CheckSpec::default());
+    let fifo = checker.run(&[], Fallback::Fifo);
+    assert_eq!(fifo.hazards, 0, "fills and face copies must be HB-clean");
+    assert_eq!(fifo.integrity_detected, 0);
+    let staged =
+        Checker::new(programs::cluster_ghost(), CheckSpec::default()).run(&[], Fallback::Fifo);
+    assert_eq!(
+        fifo.result, staged.result,
+        "transports must agree bit for bit"
+    );
+
+    let report = checker.explore(Strategy::Exhaustive {
+        max_schedules: 60_000,
+    });
+    assert!(report.complete, "budget must not be the reason we stopped");
+    assert!(
+        report.failure.is_none(),
+        "face-packed interleaving divergence:\n{}",
+        report.failure.map(|f| f.render()).unwrap_or_default()
+    );
+    assert_eq!(report.schedules, FACE_PACKED_SCHEDULES);
+
+    let dpor = checker.explore(Strategy::Dpor {
+        max_schedules: 60_000,
+    });
+    assert!(dpor.complete);
+    assert!(
+        dpor.failure.is_none(),
+        "{:?}",
+        dpor.failure.map(|f| f.render())
+    );
+    assert!(
+        dpor.schedules < FACE_PACKED_SCHEDULES,
+        "DPOR must beat the exhaustive count: {}",
+        dpor.schedules
+    );
+}
+
+/// Exhaustive schedule count of `cluster_ghost_face_packed`.
+const FACE_PACKED_SCHEDULES: u64 = 2_600;
+
 /// The full multi-step cluster heat program (periodic 8³, 4 regions over
 /// 2 nodes, five-phase exchange each step) is schedule-invariant: every
 /// DPOR-explored interleaving of stream ops *and* network deliveries
