@@ -52,14 +52,12 @@
 //!    ordered after the upload, or after the device's last fill when
 //!    nothing was uploaded.
 //!
-//! A copy of a region's runs is whichever of two shapes
-//! [`MachineConfig`] prices lower: ranged copies covering the runs and
-//! the gaps between them, or one packed copy
-//! ([`GpuSystem::memcpy_d2h_gather_async`] out,
-//! [`GpuSystem::memcpy_h2d_scatter_async`] in). A device→host copy may
-//! cover any gap, since the host copy of a resident region is not
-//! authoritative; a host→device copy may cover a gap only if it holds no
-//! valid cell and no cell the fill writes. A face-packed stage-out leaves
+//! A region's runs move as ranged copies, each covering a stretch of
+//! runs and the gaps between them; a gap is covered when [`MachineConfig`]
+//! prices moving its cells at no more than one more copy's fixed cost. A
+//! device→host copy may cover any gap, since the host copy of a resident
+//! region is not authoritative; a host→device copy may cover a gap only
+//! if it holds no valid cell and no cell the fill writes. A face-packed stage-out leaves
 //! the host copy stale, so the region stays dirty and
 //! [`Cluster::sync_to_host`] still drains whole slabs.
 //!
@@ -584,31 +582,22 @@ impl Cluster {
     /// Move the cells `x` of region `r` of array `a` between its host and
     /// device copies in direction `dir`, on `stream`, with the standard
     /// retry loop. Past the budget an upload fails; a download falls back
-    /// to the fault-exempt salvage copy of the range holding `x`, which
-    /// still gets the data home.
+    /// to the fault-exempt salvage copy of the same range, which still
+    /// gets the data home.
     fn transfer(
         &mut self,
         dir: Dir,
         a: usize,
         r: usize,
-        x: &Xfer,
+        x: Xfer,
         stream: StreamId,
     ) -> Result<OpId, ClusterError> {
         let node = self.node_of(r);
         let (dev, host) = (self.arrays[a].dev[r], self.arrays[a].host[r]);
-        let issue = |gpu: &mut GpuSystem| match (dir, x) {
-            (Dir::H2d, &Xfer::Range { off, len }) => {
-                gpu.memcpy_h2d_async(dev, off, host, off, len, stream)
-            }
-            (Dir::D2h, &Xfer::Range { off, len }) => {
-                gpu.memcpy_d2h_async(host, off, dev, off, len, stream)
-            }
-            (Dir::H2d, Xfer::Packed(runs)) => {
-                gpu.memcpy_h2d_scatter_async(dev, host, Arc::clone(runs), stream)
-            }
-            (Dir::D2h, Xfer::Packed(runs)) => {
-                gpu.memcpy_d2h_gather_async(host, dev, Arc::clone(runs), stream)
-            }
+        let Xfer { off, len } = x;
+        let issue = |gpu: &mut GpuSystem| match dir {
+            Dir::H2d => gpu.memcpy_h2d_async(dev, off, host, off, len, stream),
+            Dir::D2h => gpu.memcpy_d2h_async(host, off, dev, off, len, stream),
         };
         let mut op = issue(&mut self.nodes[node]);
         let mut attempt: u32 = 0;
@@ -625,7 +614,6 @@ impl Cluster {
                     return Err(ClusterError::TransferExhausted { region: r });
                 }
                 self.stats.salvaged_regions += 1;
-                let (off, len) = x.span();
                 op = self.nodes[node].memcpy_d2h_salvage(host, off, dev, off, len, stream);
                 break;
             }
@@ -657,7 +645,7 @@ impl Cluster {
         }
         self.stats.loads += 1;
         let whole = self.whole(a.0, r);
-        self.transfer(Dir::H2d, a.0, r, &whole, self.cstream[r])?;
+        self.transfer(Dir::H2d, a.0, r, whole, self.cstream[r])?;
         self.arrays[a.0].resident[r] = true;
         self.arrays[a.0].dirty[r] = false;
         Ok(())
@@ -764,7 +752,7 @@ impl Cluster {
             if resident {
                 let mut last = None;
                 for x in plan.send(r) {
-                    last = Some(self.transfer(Dir::D2h, src.0, r, x, self.xstream[r])?);
+                    last = Some(self.transfer(Dir::D2h, src.0, r, *x, self.xstream[r])?);
                 }
                 if rp.send_whole {
                     // Host now mirrors the device copy exactly.
@@ -777,7 +765,7 @@ impl Cluster {
                 // upload it for the kernels and send straight from it.
                 self.stats.loads += 1;
                 let whole = self.whole(src.0, r);
-                self.transfer(Dir::H2d, src.0, r, &whole, self.xstream[r])?;
+                self.transfer(Dir::H2d, src.0, r, whole, self.xstream[r])?;
                 let ev_up = self.nodes[node].record_event(self.xstream[r]);
                 self.nodes[node].stream_wait_event(self.cstream[r], ev_up);
                 self.arrays[src.0].resident[r] = true;
@@ -917,7 +905,7 @@ impl Cluster {
                     self.nodes[node].stream_wait_event(self.xstream[r], ev);
                 }
                 for x in plan.recv(r) {
-                    self.transfer(Dir::H2d, src.0, r, x, self.xstream[r])?;
+                    self.transfer(Dir::H2d, src.0, r, *x, self.xstream[r])?;
                 }
                 let ev_ghosts = self.nodes[node].record_event(self.xstream[r]);
                 self.nodes[node].stream_wait_event(self.cstream[r], ev_ghosts);
@@ -1009,7 +997,7 @@ impl Cluster {
             let ev_k = self.nodes[node].record_event(self.cstream[r]);
             self.nodes[node].stream_wait_event(self.xstream[r], ev_k);
             let whole = self.whole(a.0, r);
-            self.transfer(Dir::D2h, a.0, r, &whole, self.xstream[r])?;
+            self.transfer(Dir::D2h, a.0, r, whole, self.xstream[r])?;
         }
         let stream = self.xstream[r];
         self.nodes[node].stream_synchronize(stream);

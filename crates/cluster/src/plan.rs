@@ -9,7 +9,6 @@
 
 use gpu_sim::{MachineConfig, SimTime};
 use std::ops::Range;
-use std::sync::Arc;
 use tida::{GhostPatch, TileArray};
 
 /// How a cluster moves ghost data between regions.
@@ -29,33 +28,18 @@ pub enum Transport {
     FacePacked,
 }
 
-/// One host↔device staging copy of a region slab.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum Xfer {
-    /// The cells `off..off + len`, one ranged copy.
-    Range { off: usize, len: usize },
-    /// The cells of sorted, disjoint `(offset, len)` runs packed into one
-    /// contiguous copy (a gather out, a scatter in).
-    Packed(Arc<[(usize, usize)]>),
+/// One host↔device staging copy of a region slab: the cells
+/// `off..off + len`, the same on both sides.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Xfer {
+    pub(crate) off: usize,
+    pub(crate) len: usize,
 }
 
 impl Xfer {
     /// The whole slab of `len` cells.
     pub(crate) fn whole(len: usize) -> Xfer {
-        Xfer::Range { off: 0, len }
-    }
-
-    /// The smallest range `(offset, len)` holding every cell the copy
-    /// moves.
-    pub(crate) fn span(&self) -> (usize, usize) {
-        match self {
-            Xfer::Range { off, len } => (*off, *len),
-            Xfer::Packed(runs) => {
-                let first = runs.first().map_or(0, |r| r.0);
-                let end = runs.last().map_or(0, |r| r.0 + r.1);
-                (first, end - first)
-            }
-        }
+        Xfer { off: 0, len }
     }
 }
 
@@ -137,7 +121,7 @@ impl ExchangePlan {
                 .map(|r| {
                     let whole = Xfer::whole(array.region(r).layout.len());
                     RegionPlan {
-                        send: append(&mut copies, [whole.clone()]),
+                        send: append(&mut copies, [whole]),
                         send_whole: true,
                         fill: None,
                         recv: append(&mut copies, [whole]),
@@ -185,8 +169,6 @@ impl ExchangePlan {
 
         let d2h = |cells: usize| cfg.d2h_time(f64_bytes(cells));
         let h2d = |cells: usize| cfg.h2d_time(f64_bytes(cells));
-        let gather = |cells: usize| cfg.d2h_gather_times(f64_bytes(cells)).into_iter().sum();
-        let scatter = |cells: usize| cfg.h2d_scatter_times(f64_bytes(cells)).into_iter().sum();
         let any_fill = fills.iter().any(Option::is_some);
         let regions = fills
             .into_iter()
@@ -196,12 +178,7 @@ impl ExchangePlan {
                 let layout = region.layout;
                 // The host slab of a resident region is not authoritative:
                 // a device→host copy may carry any cell between the runs.
-                let send = cheapest(
-                    union(std::mem::take(&mut send_runs[r])),
-                    |_, _| true,
-                    d2h,
-                    gather,
-                );
+                let send = cover(union(std::mem::take(&mut send_runs[r])), |_, _| true, d2h);
                 // A host→device copy must not overwrite a valid cell (the
                 // device holds the only fresh copy) or a cell the fill
                 // writes (the host never sees it).
@@ -212,11 +189,10 @@ impl ExchangePlan {
                     }
                 }
                 let kept = union(kept);
-                let recv = cheapest(
+                let recv = cover(
                     union(std::mem::take(&mut recv_runs[r])),
                     |from, to| !overlaps(&kept, from, to),
                     h2d,
-                    scatter,
                 );
                 let send_whole = send == [Xfer::whole(layout.len())];
                 RegionPlan {
@@ -269,43 +245,31 @@ fn overlaps(runs: &[(usize, usize)], from: usize, to: usize) -> bool {
     runs.get(i).is_some_and(|&(off, _)| off < to)
 }
 
-/// The cheapest way to move the cells of sorted, disjoint `runs`: ranged
-/// copies, each covering a stretch of runs and the gaps between them, or
-/// one packed copy of exactly the runs.
+/// Ranged copies moving the cells of sorted, disjoint `runs`, each
+/// covering a stretch of runs and the gaps between them.
 ///
 /// A gap is covered when `may_cover(from, to)` allows it and moving its
 /// cells takes no longer than the fixed cost of one more copy; `ranged`
-/// and `packed` price a copy of that many cells.
-fn cheapest(
+/// prices a copy of that many cells.
+fn cover(
     runs: Vec<(usize, usize)>,
     may_cover: impl Fn(usize, usize) -> bool,
     ranged: impl Fn(usize) -> SimTime,
-    packed: impl Fn(usize) -> SimTime,
 ) -> Vec<Xfer> {
-    let Some(&(first, first_len)) = runs.first() else {
-        return Vec::new();
-    };
     let fixed = ranged(0);
-    let mut cover: Vec<(usize, usize)> = vec![(first, first_len)];
-    for &(off, len) in &runs[1..] {
-        let last = cover.last_mut().expect("seeded with the first run");
-        let end = last.0 + last.1;
-        if ranged(off - end) - fixed <= fixed && may_cover(end, off) {
-            last.1 = off + len - last.0;
-        } else {
-            cover.push((off, len));
+    let mut copies: Vec<Xfer> = Vec::with_capacity(runs.len());
+    for (off, len) in runs {
+        match copies.last_mut() {
+            Some(last)
+                if ranged(off - (last.off + last.len)) - fixed <= fixed
+                    && may_cover(last.off + last.len, off) =>
+            {
+                last.len = off + len - last.off;
+            }
+            _ => copies.push(Xfer { off, len }),
         }
     }
-    let cells: usize = runs.iter().map(|&(_, len)| len).sum();
-    let covered: SimTime = cover.iter().map(|&(_, len)| ranged(len)).sum();
-    if runs.len() > 1 && packed(cells) < covered {
-        vec![Xfer::Packed(runs.into())]
-    } else {
-        cover
-            .into_iter()
-            .map(|(off, len)| Xfer::Range { off, len })
-            .collect()
-    }
+    copies
 }
 
 #[cfg(test)]
@@ -366,12 +330,12 @@ mod tests {
             // One covering copy per direction: the face rows and the two
             // ghost columns between them.
             let moved = |x: &[Xfer]| match x {
-                [Xfer::Range { len, .. }] => *len,
+                [one] => one.len,
                 other => panic!("region {r}: expected one ranged copy, got {other:?}"),
             };
             assert_eq!(moved(plan.send(r)), face + 7 * 2);
             assert_eq!(moved(plan.recv(r)), face + 7 * 2);
-            assert!(!rp.send_whole && plan.send(r)[0].span().1 < layout.len());
+            assert!(!rp.send_whole && plan.send(r)[0].len < layout.len());
             let fill = rp.fill.as_ref().expect("same-device ghosts");
             assert!(fill.reads_self, "periodic x/y self-patches");
             assert_eq!(fill.sources.len(), 1);
@@ -380,27 +344,23 @@ mod tests {
     }
 
     #[test]
-    fn faces_split_by_valid_cells_upload_packed() {
+    fn faces_split_by_valid_cells_upload_in_separate_copies() {
         // A [4,2,1] grid over two devices: the y-faces cross, and each
-        // region receives one ghost row per z-plane with valid cells
-        // between them. One packed upload beats eight ranged ones; the
-        // send rows have only ghosts between them and go out as one
-        // covering copy.
+        // region receives two ghost rows per z-plane with valid cells
+        // between them, so the upload cannot be one covering copy. The
+        // send rows have only ghosts between them and go out as one.
         let a = array(RegionSpec::Grid([4, 2, 1]), ExchangeMode::Faces);
         let cfg = MachineConfig::k40m();
         let owner = [0, 0, 0, 0, 1, 1, 1, 1];
         let plan = ExchangePlan::build(Transport::FacePacked, &a, &owner, &cfg);
         for r in 0..owner.len() {
-            match plan.recv(r) {
-                [Xfer::Packed(runs)] => assert_eq!(runs.len(), 2 * 8, "region {r}"),
-                other => panic!("region {r}: expected one packed upload, got {other:?}"),
-            }
-            assert!(matches!(plan.send(r), [Xfer::Range { .. }]), "region {r}");
+            assert!(plan.recv(r).len() > 1, "region {r}: {:?}", plan.recv(r));
+            assert_eq!(plan.send(r).len(), 1, "region {r}: {:?}", plan.send(r));
         }
     }
 
     #[test]
-    fn uploads_never_cover_valid_or_filled_cells() {
+    fn uploads_carry_every_received_cell_and_no_valid_or_filled_one() {
         for spec in [RegionSpec::Grid([2, 2, 2]), RegionSpec::Grid([4, 2, 1])] {
             for mode in [ExchangeMode::Faces, ExchangeMode::Full] {
                 let a = array(spec, mode);
@@ -415,9 +375,21 @@ mod tests {
                         kept.extend(region.layout.box_runs(p.dst_box));
                     }
                     let kept = union(kept);
-                    for x in plan.recv(r) {
-                        if let Xfer::Range { off, len } = *x {
-                            assert!(!overlaps(&kept, off, off + len), "{spec:?} {mode:?} r{r}");
+                    let recv = plan.recv(r);
+                    for x in recv {
+                        assert!(
+                            !overlaps(&kept, x.off, x.off + x.len),
+                            "{spec:?} {mode:?} r{r}"
+                        );
+                    }
+                    let received = plan.wire.iter().map(|&i| a.patches()[i]);
+                    for p in received.filter(|p| p.dst_region == r) {
+                        for (off, len) in region.layout.box_runs(p.dst_box) {
+                            assert!(
+                                recv.iter()
+                                    .any(|x| x.off <= off && off + len <= x.off + x.len),
+                                "{spec:?} {mode:?} r{r}: run ({off}, {len}) not uploaded"
+                            );
                         }
                     }
                 }

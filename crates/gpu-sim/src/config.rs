@@ -171,18 +171,6 @@ impl MachineConfig {
         ]
     }
 
-    /// The three stream-ordered ops of a scattered H2D of `bytes` payload
-    /// ([`crate::GpuSystem::memcpy_h2d_scatter_async`]): the host pack,
-    /// the contiguous copy, and the unpack kernel (reads and writes the
-    /// payload on the device).
-    pub fn h2d_scatter_times(&self, bytes: u64) -> [SimTime; 3] {
-        [
-            self.host_copy_time(bytes),
-            self.h2d_time(bytes),
-            KernelCost::Bytes(2 * bytes).duration(self, 1.0),
-        ]
-    }
-
     /// Host-side staging time for a pageable transfer of `bytes`.
     pub fn stage_time(&self, bytes: u64) -> SimTime {
         SimTime::from_secs_f64(bytes as f64 / self.host_stage_bw)

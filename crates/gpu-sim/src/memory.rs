@@ -195,17 +195,6 @@ impl Origin {
     }
 }
 
-/// What an H2D landing moved: the source range a whole-slab landing
-/// makes the device copy's origin, and how the copy went.
-#[derive(Clone, Copy)]
-struct Landed {
-    src_off: usize,
-    len: usize,
-    covers_all: bool,
-    /// Every attempt arrived corrupted.
-    unrepaired: bool,
-}
-
 /// Per-buffer integrity bookkeeping for one [`crate::GpuSystem`].
 ///
 /// Keys are raw buffer indices (`DeviceBuffer::index` / `HostBuffer::index`).
@@ -504,67 +493,18 @@ impl IntegrityBook {
             self.verify_device(dst_idx, dst);
         }
         let unrepaired = self.transfer_with_retransmits(dst, dst_off, src, src_off, len, corrupt);
-        let landed = Landed {
-            src_off,
-            len,
-            covers_all,
-            unrepaired,
-        };
-        self.h2d_landed(dst, dst_idx, src, src_idx, landed, corrupt);
-    }
-
-    /// Scattered H2D landing: `h2d_effect` over the cells of `runs`
-    /// (`(offset, len)`, the same on both sides; `cells` in all). Only the
-    /// moved cells land, are struck in flight, and are retransmitted.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn h2d_scatter_effect(
-        &mut self,
-        dst: &Slab,
-        dst_idx: usize,
-        src: &Slab,
-        src_idx: usize,
-        runs: &[(usize, usize)],
-        cells: usize,
-        corrupt: Option<CorruptVerdict>,
-    ) {
-        let covers_all = cells == dst.len();
-        if !covers_all {
-            self.verify_device(dst_idx, dst);
-        }
-        let unrepaired = self.gather_with_retransmits(dst, src, runs, cells, corrupt);
-        let landed = Landed {
-            src_off: 0,
-            len: cells,
-            covers_all,
-            unrepaired,
-        };
-        self.h2d_landed(dst, dst_idx, src, src_idx, landed, corrupt);
-    }
-
-    /// The bookkeeping after an H2D landed: poison propagation, the post-
-    /// landing digest, the host origin of a whole-slab landing, then any
-    /// scheduled resident strike on the settled slot.
-    fn h2d_landed(
-        &mut self,
-        dst: &Slab,
-        dst_idx: usize,
-        src: &Slab,
-        src_idx: usize,
-        landed: Landed,
-        corrupt: Option<CorruptVerdict>,
-    ) {
-        if landed.unrepaired || self.poisoned_host.contains(&src_idx) {
+        if unrepaired || self.poisoned_host.contains(&src_idx) {
             self.poisoned_dev.insert(dst_idx);
             self.origins.remove(&dst_idx);
             self.digests.remove(&dst_idx);
             return;
         }
-        let digest = self.record_device_write(dst_idx, dst, landed.covers_all);
-        if landed.covers_all && self.enabled {
+        let landed = self.record_device_write(dst_idx, dst, covers_all);
+        if covers_all && self.enabled {
             // The landing was clean and covers the whole slab, so the
             // device digest is the source range's digest too: the source
             // bytes are not hashed a second time.
-            let digest = match digest {
+            let digest = match landed {
                 Some(digest) if !src.is_virtual() => Some(Stamped {
                     stamp: src.stamp(),
                     digest,
@@ -575,12 +515,12 @@ impl IntegrityBook {
                 dst_idx,
                 Origin {
                     slab: src.clone(),
-                    off: landed.src_off,
-                    len: landed.len,
+                    off: src_off,
+                    len,
                     digest,
                 },
             );
-        } else if !landed.covers_all {
+        } else if !covers_all {
             self.origins.remove(&dst_idx);
         }
         // A resident strike (non-ECC DRAM bit flip) lands after the digest

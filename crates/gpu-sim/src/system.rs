@@ -256,45 +256,20 @@ pub struct GpuSystem {
 /// program's worth, so a fresh system does not regrow it op by op.
 const ACCESSES_HINT: usize = 64;
 
-/// The cells a host↔device copy moves.
-enum Cells {
+/// The cells a device→host copy moves.
+enum D2hCells {
     /// One contiguous range.
     Range {
         dst_off: usize,
         src_off: usize,
         len: usize,
     },
-    /// The `(offset, len)` runs of a gathered or scattered copy (`cells`
-    /// in all), at the same offsets on both sides.
+    /// The `(offset, len)` runs of a gathered write-back (`cells` in all),
+    /// at the same offsets on both sides.
     Runs {
         runs: Arc<[(usize, usize)]>,
         cells: usize,
     },
-}
-
-impl Cells {
-    /// How many cells the copy moves.
-    fn len(&self) -> usize {
-        match self {
-            Cells::Range { len, .. } => *len,
-            Cells::Runs { cells, .. } => *cells,
-        }
-    }
-}
-
-/// The cell count of a gathered or scattered copy's `runs`, checked to be
-/// sorted, disjoint, non-empty and inside `slab_len`.
-fn run_cells(runs: &[(usize, usize)], slab_len: usize) -> usize {
-    let mut end = 0;
-    for &(off, len) in runs {
-        assert!(
-            off >= end && len > 0,
-            "copy runs must be sorted, disjoint and non-empty"
-        );
-        end = off + len;
-    }
-    assert!(end <= slab_len, "copy run ends at {end}, past {slab_len}");
-    runs.iter().map(|&(_, len)| len).sum()
 }
 
 /// Transfer-label kinds for [`GpuSystem::xfer_labels`].
@@ -979,130 +954,19 @@ impl GpuSystem {
         stream: StreamId,
     ) -> OpId {
         assert!(self.dev[dst.0].alive, "copy into freed device buffer");
-        assert_eq!(
-            self.dev[dst.0].device, self.streams[stream.0].device,
-            "stream and destination buffer live on different devices"
-        );
-        self.note_tenant_touch(BufKey::Host(src.0));
-        self.note_tenant_touch(BufKey::Device(dst.0));
-        let cells = Cells::Range {
-            dst_off,
-            src_off,
-            len,
-        };
-        let (op, _) = self.submit_h2d(dst, src, cells, stream);
-        if self.host[src.0].kind == HostMemKind::Pageable {
-            let t = self.sched.run_until(op);
-            self.host_clock = self.host_clock.max(t);
-            self.hazards.host_joins(op);
-        }
-        op
-    }
-
-    /// Asynchronous scattered host→device copy of the cells in `runs`
-    /// (`(offset, len)` in doubles, sorted and disjoint, inside both
-    /// buffers), for a device buffer laid out like the start of the host
-    /// one: an upload of only the cells the device is missing, such as a
-    /// region's received ghost faces. The mirror of
-    /// [`GpuSystem::memcpy_d2h_gather_async`].
-    ///
-    /// Priced as what a CUDA runtime issues for it, all in `stream`: a
-    /// stream-ordered host pack into pinned staging (`launch_host_func`,
-    /// `host_copy_time(8·cells)`), one contiguous H2D of `8·cells` bytes,
-    /// and an unpack kernel scattering the staging buffer into place
-    /// (`KernelCost::Bytes(16·cells)`). The copy carries the H2D fault and
-    /// corruption verdicts and is counted and labelled like a plain H2D
-    /// of that many bytes. The unpack belongs to the transfer, not to the
-    /// program: it takes no kernel fault ordinal and is not counted in
-    /// [`GpuSystem::stats_kernels`]; a dead platform refuses the copy.
-    /// A pageable source is packed by the host thread itself, which blocks
-    /// through the pack.
-    ///
-    /// The data moves once, host slab → device slab, in the copy's effect;
-    /// no staging bytes are allocated. Returns the op that completes the
-    /// transfer: the unpack, or the copy itself when it faulted (then
-    /// nothing moved and there is nothing to unpack).
-    pub fn memcpy_h2d_scatter_async(
-        &mut self,
-        dst: DeviceBuffer,
-        src: HostBuffer,
-        runs: Arc<[(usize, usize)]>,
-        stream: StreamId,
-    ) -> OpId {
-        assert!(self.dev[dst.0].alive, "copy into freed device buffer");
         let device = self.dev[dst.0].device;
         assert_eq!(
             device, self.streams[stream.0].device,
             "stream and destination buffer live on different devices"
         );
-        let cells = run_cells(
-            &runs,
-            self.dev[dst.0].slab.len().min(self.host[src.0].slab.len()),
-        );
         self.note_tenant_touch(BufKey::Host(src.0));
         self.note_tenant_touch(BufKey::Device(dst.0));
-        let bytes = (cells * std::mem::size_of::<f64>()) as u64;
-        let [pack_time, _, unpack_time] = self.cfg.h2d_scatter_times(bytes);
-
-        let pack = self.launch_host_func(stream, pack_time, csym!("h2d-pack"), || {});
-        if self.host[src.0].kind == HostMemKind::Pageable {
-            let t = self.sched.run_until(pack);
-            self.host_clock = self.host_clock.max(t);
-            self.hazards.host_joins(pack);
-        }
-        let (op, faulted) = self.submit_h2d(dst, src, Cells::Runs { runs, cells }, stream);
-        if faulted {
-            return op;
-        }
-
-        // The unpack kernel: scatters staging into the device buffer.
-        let deps = self.stream_deps(stream);
-        self.host_clock += self.cfg.host_enqueue_overhead;
-        let label = csym!("h2d-unpack");
-        let unpack = self.sched.submit(
-            Op::on(self.devices[device].eng_compute, unpack_time)
-                .not_before(self.host_clock)
-                .host_cause(self.last_block)
-                .after_all(deps.iter().copied())
-                .label(label)
-                .category(csym!("kernel"))
-                .touches(BufKey::Device(dst.0).resource_id(), true),
-        );
-        self.push_stream_op(stream, unpack);
-        self.record_access(unpack, BufKey::Device(dst.0), Access::Write, label);
-        self.hazards.observe_op(
-            unpack,
-            stream.0 + 1,
-            &deps,
-            label,
-            csym!("kernel"),
-            &[(BufKey::Device(dst.0), Dir::Write)],
-            self.host_clock,
-        );
-        self.put_deps(deps);
-        unpack
-    }
-
-    /// Submit the DMA of a host→device copy in `stream`: a pageable
-    /// range's bounce through pinned staging, fault and corruption
-    /// verdict, the op with its data effect, byte accounting and hazard
-    /// bookkeeping. Returns the op and whether it faulted.
-    fn submit_h2d(
-        &mut self,
-        dst: DeviceBuffer,
-        src: HostBuffer,
-        cells: Cells,
-        stream: StreamId,
-    ) -> (OpId, bool) {
-        let device = self.dev[dst.0].device;
         let eng_h2d = self.devices[device].eng_h2d;
-        let bytes = (cells.len() * std::mem::size_of::<f64>()) as u64;
+        let bytes = (len * std::mem::size_of::<f64>()) as u64;
+        let kind = self.host[src.0].kind;
         let mut deps = self.stream_deps(stream);
 
-        // A scatter's host pack already landed in pinned staging.
-        let bounce =
-            matches!(cells, Cells::Range { .. }) && self.host[src.0].kind == HostMemKind::Pageable;
-        if bounce {
+        if kind == HostMemKind::Pageable {
             // Host-side staging bounce, then DMA; the host blocks.
             let stage = self.sched.submit(
                 Op::on(self.eng_host, self.cfg.stage_time(bytes))
@@ -1166,19 +1030,9 @@ impl GpuSystem {
                 let dst_slab = self.dev[dst.0].slab.clone();
                 let src_slab = self.host[src.0].slab.clone();
                 builder = builder.effect(move || {
-                    let mut book = integrity.borrow_mut();
-                    match cells {
-                        Cells::Range {
-                            dst_off,
-                            src_off,
-                            len,
-                        } => book.h2d_effect(
-                            &dst_slab, dst_idx, dst_off, &src_slab, src_idx, src_off, len, corrupt,
-                        ),
-                        Cells::Runs { runs, cells } => book.h2d_scatter_effect(
-                            &dst_slab, dst_idx, &src_slab, src_idx, &runs, cells, corrupt,
-                        ),
-                    }
+                    integrity.borrow_mut().h2d_effect(
+                        &dst_slab, dst_idx, dst_off, &src_slab, src_idx, src_off, len, corrupt,
+                    )
                 });
             } else {
                 self.integrity.borrow_mut().note_passive_copy();
@@ -1209,7 +1063,13 @@ impl GpuSystem {
             self.host_clock,
         );
         self.put_deps(deps);
-        (op, v.faulted)
+
+        if kind == HostMemKind::Pageable {
+            let t = self.sched.run_until(op);
+            self.host_clock = self.host_clock.max(t);
+            self.hazards.host_joins(op);
+        }
+        op
     }
 
     /// Asynchronous device→host copy of `len` doubles.
@@ -1231,7 +1091,7 @@ impl GpuSystem {
         self.note_tenant_touch(BufKey::Device(src.0));
         self.note_tenant_touch(BufKey::Host(dst.0));
         let bytes = (len * std::mem::size_of::<f64>()) as u64;
-        let cells = Cells::Range {
+        let cells = D2hCells::Range {
             dst_off,
             src_off,
             len,
@@ -1286,12 +1146,19 @@ impl GpuSystem {
             device, self.streams[stream.0].device,
             "stream and source buffer live on different devices"
         );
-        let cells = run_cells(
-            &runs,
-            self.dev[src.0].slab.len().min(self.host[dst.0].slab.len()),
-        );
+        let slab_len = self.dev[src.0].slab.len().min(self.host[dst.0].slab.len());
+        let mut end = 0;
+        for &(off, len) in runs.iter() {
+            assert!(
+                off >= end && len > 0,
+                "gather runs must be sorted, disjoint and non-empty"
+            );
+            end = off + len;
+        }
+        assert!(end <= slab_len, "gather run ends at {end}, past {slab_len}");
         self.note_tenant_touch(BufKey::Device(src.0));
         self.note_tenant_touch(BufKey::Host(dst.0));
+        let cells: usize = runs.iter().map(|&(_, len)| len).sum();
         let bytes = (cells * std::mem::size_of::<f64>()) as u64;
 
         let [pack_time, _, unpack_time] = self.cfg.d2h_gather_times(bytes);
@@ -1322,7 +1189,7 @@ impl GpuSystem {
         );
         self.put_deps(deps);
 
-        let (op, faulted) = self.submit_d2h(dst, src, Cells::Runs { runs, cells }, stream);
+        let (op, faulted) = self.submit_d2h(dst, src, D2hCells::Runs { runs, cells }, stream);
         if faulted {
             return op;
         }
@@ -1344,12 +1211,16 @@ impl GpuSystem {
         &mut self,
         dst: HostBuffer,
         src: DeviceBuffer,
-        cells: Cells,
+        cells: D2hCells,
         stream: StreamId,
     ) -> (OpId, bool) {
         let device = self.dev[src.0].device;
         let eng_d2h = self.devices[device].eng_d2h;
-        let bytes = (cells.len() * std::mem::size_of::<f64>()) as u64;
+        let len = match &cells {
+            D2hCells::Range { len, .. } => *len,
+            D2hCells::Runs { cells, .. } => *cells,
+        };
+        let bytes = (len * std::mem::size_of::<f64>()) as u64;
         let mut deps = self.stream_deps(stream);
 
         if self.host[dst.0].kind == HostMemKind::Pinned {
@@ -1406,14 +1277,14 @@ impl GpuSystem {
                 builder = builder.effect(move || {
                     let mut book = integrity.borrow_mut();
                     match cells {
-                        Cells::Range {
+                        D2hCells::Range {
                             dst_off,
                             src_off,
                             len,
                         } => book.d2h_effect(
                             &dst_slab, dst_idx, dst_off, &src_slab, src_idx, src_off, len, corrupt,
                         ),
-                        Cells::Runs { runs, cells } => book.d2h_gather_effect(
+                        D2hCells::Runs { runs, cells } => book.d2h_gather_effect(
                             &dst_slab, dst_idx, &src_slab, src_idx, &runs, cells, corrupt,
                         ),
                     }

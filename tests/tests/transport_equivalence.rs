@@ -108,7 +108,9 @@ fn run(case: Case, transport: Transport) -> Run {
     }
 }
 
-fn check(case: Case) {
+/// Run `case` under both transports and check each against the golden,
+/// the trace and the other; returns the host-staged and face-packed runs.
+fn check(case: Case) -> [Run; 2] {
     let golden = support::heat_golden(SEED, N, STEPS);
     let staged = run(case, Transport::HostStaged);
     let packed = run(case, Transport::FacePacked);
@@ -130,6 +132,7 @@ fn check(case: Case) {
         packed.result == staged.result,
         "{case:?}: transports differ"
     );
+    [staged, packed]
 }
 
 fn spec() -> impl Strategy<Value = RegionSpec> {
@@ -203,18 +206,16 @@ fn faults_and_failover_keep_the_transports_equivalent() {
             seed: 11,
         });
     }
-    let staged = run(
-        Case {
-            spec: RegionSpec::Grid([2, 2, 2]),
-            mode: ExchangeMode::Full,
-            nodes: 3,
-            dpn: 2,
-            transient: 0.0,
-            death_at: Some(3),
-            seed: 3,
-        },
-        Transport::FacePacked,
-    );
-    assert!(staged.recoveries >= 1, "the death must fire");
-    assert!(staged.result == support::heat_golden(SEED, N, STEPS));
+    let runs = check(Case {
+        spec: RegionSpec::Grid([2, 2, 2]),
+        mode: ExchangeMode::Full,
+        nodes: 3,
+        dpn: 2,
+        transient: 0.0,
+        death_at: Some(3),
+        seed: 3,
+    });
+    for r in runs {
+        assert!(r.recoveries >= 1, "the death must fire");
+    }
 }
