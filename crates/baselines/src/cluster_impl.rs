@@ -1,7 +1,7 @@
 //! Cluster drivers for the evaluation kernels: the same heat and Jacobi
 //! applications the other execution models run, written against the
-//! multi-node `Cluster` runtime so the conformance suite can hold it to
-//! the same bitwise standard. Pinned to one node these must be
+//! multi-node, multi-device `Cluster` runtime so the conformance suite can
+//! hold it to the same bitwise standard. Pinned to one node these must be
 //! indistinguishable (in results and byte accounting) from any other
 //! conforming model; on several nodes the halo traffic rides the network
 //! model instead of device-side gathers, and the results must not move.
@@ -57,19 +57,50 @@ pub fn cluster_heat(
     backed: bool,
     tracing: bool,
 ) -> RunResult {
+    let cc = ClusterConfig::new(nodes)
+        .machine(cfg.clone())
+        .backed(backed);
+    let label = format!("Cluster-heat({regions}r,{nodes}n)");
+    heat_on(cc, n, steps, regions, tracing, label)
+}
+
+/// Multi-GPU TiDA heat solver: the same regions distributed over the
+/// `devices` GPUs of one node, faces between two devices moved pack →
+/// peer copy → unpack.
+pub fn tida_heat_multi(
+    cfg: &MachineConfig,
+    n: i64,
+    steps: usize,
+    regions: usize,
+    devices: usize,
+    backed: bool,
+) -> RunResult {
+    let cc = ClusterConfig::new(1)
+        .devices_per_node(devices)
+        .machine(cfg.clone())
+        .backed(backed);
+    let label = format!("TiDA-multi({regions}r,{devices}gpu)");
+    heat_on(cc, n, steps, regions, false, label)
+}
+
+/// Heat on a cluster built from `cc`.
+fn heat_on(
+    cc: ClusterConfig,
+    n: i64,
+    steps: usize,
+    regions: usize,
+    tracing: bool,
+    label: String,
+) -> RunResult {
     let decomp = Arc::new(Decomposition::new(
         Domain::periodic_cube(n),
         RegionSpec::Count(regions),
     ));
-    let ua = TileArray::new(decomp.clone(), 1, ExchangeMode::Faces, backed);
-    let ub = TileArray::new(decomp.clone(), 1, ExchangeMode::Faces, backed);
+    let ua = TileArray::new(decomp.clone(), 1, ExchangeMode::Faces, cc.backed);
+    let ub = TileArray::new(decomp.clone(), 1, ExchangeMode::Faces, cc.backed);
     ua.fill_valid(crate::heat::heat_init());
 
-    let mut cl = Cluster::new(
-        ClusterConfig::new(nodes)
-            .machine(cfg.clone())
-            .backed(backed),
-    );
+    let mut cl = Cluster::new(cc);
     cl.set_tracing(tracing);
     let a = cl.register(&ua);
     let b = cl.register(&ub);
@@ -84,7 +115,6 @@ pub fn cluster_heat(
     }
     cl.sync_to_host(src).unwrap();
     let final_array = if src == a { &ua } else { &ub };
-    let label = format!("Cluster-heat({regions}r,{nodes}n)");
     result_of(&mut cl, final_array, label, tracing)
 }
 

@@ -1,12 +1,14 @@
 //! Shared configuration and result types for all execution-model variants.
 
 use gpu_sim::{DeviceBuffer, GpuSystem, HostBuffer, SimTime, StreamId, Trace};
+use tida_acc::RetryPolicy;
 
-/// Retry budget the baselines give an injected transient transfer fault.
-/// A plain CUDA program has no host fallback: a persistent H2D fault past
-/// this budget is unrecoverable (the H2D helper panics); a persistent D2H
-/// fault degrades to the fault-exempt salvage path.
-pub const MAX_TRANSFER_RETRIES: u32 = 8;
+/// Retry budget the baselines give an injected transient transfer fault:
+/// 8 retries, 20 µs base backoff doubling per attempt. A plain CUDA
+/// program has no host fallback: a persistent H2D fault past this budget
+/// is unrecoverable (the H2D helper panics); a persistent D2H fault
+/// degrades to the fault-exempt salvage path.
+const RETRY: RetryPolicy = RetryPolicy::new(8, SimTime::from_us(20));
 
 /// `memcpy_h2d_async` with bounded retry-with-backoff on injected transient
 /// faults — what a robust CUDA program does around `cudaMemcpyAsync`.
@@ -21,13 +23,10 @@ pub fn h2d_retrying(
     let mut attempt: u32 = 0;
     while gpu.op_faulted(op) {
         assert!(
-            attempt < MAX_TRANSFER_RETRIES,
+            !RETRY.exhausted(attempt),
             "baseline cannot degrade past a persistent H2D fault"
         );
-        gpu.backoff_work(
-            SimTime::from_us(20u64 << attempt.min(10)),
-            "h2d-retry-backoff",
-        );
+        gpu.backoff_work(RETRY.backoff(attempt), "h2d-retry-backoff");
         op = gpu.memcpy_h2d_async(dst, 0, src, 0, len, stream);
         attempt += 1;
     }
@@ -46,14 +45,11 @@ pub fn d2h_retrying(
     let mut op = gpu.memcpy_d2h_async(dst, 0, src, 0, len, stream);
     let mut attempt: u32 = 0;
     while gpu.op_faulted(op) {
-        if attempt >= MAX_TRANSFER_RETRIES {
+        if RETRY.exhausted(attempt) {
             gpu.memcpy_d2h_salvage(dst, 0, src, 0, len, stream);
             break;
         }
-        gpu.backoff_work(
-            SimTime::from_us(20u64 << attempt.min(10)),
-            "d2h-retry-backoff",
-        );
+        gpu.backoff_work(RETRY.backoff(attempt), "d2h-retry-backoff");
         op = gpu.memcpy_d2h_async(dst, 0, src, 0, len, stream);
         attempt += 1;
     }

@@ -22,12 +22,10 @@ pub mod multigrid;
 mod tida_impl;
 pub mod tuning;
 
-pub use cluster_impl::{cluster_heat, cluster_jacobi, net_bytes_from_trace};
+pub use cluster_impl::{cluster_heat, cluster_jacobi, net_bytes_from_trace, tida_heat_multi};
 pub use common::{d2h_retrying, h2d_retrying, MemMode, RunOpts, RunResult};
 pub use jacobi::{cuda_jacobi, tida_jacobi};
-pub use tida_impl::{
-    tida_busy, tida_heat, tida_heat_fused, tida_heat_multi, tida_heat_timetiled, TidaOpts,
-};
+pub use tida_impl::{tida_busy, tida_heat, tida_heat_fused, tida_heat_timetiled, TidaOpts};
 
 #[cfg(test)]
 mod cross_validation {

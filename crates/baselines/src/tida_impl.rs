@@ -357,59 +357,6 @@ pub fn tida_heat_fused(
     }
 }
 
-/// Multi-GPU TiDA heat solver: regions distributed over `devices` GPUs with
-/// pack/peer-copy/unpack halo exchange (the `MultiAcc` extension).
-pub fn tida_heat_multi(
-    cfg: &MachineConfig,
-    n: i64,
-    steps: usize,
-    regions: usize,
-    devices: usize,
-    backed: bool,
-) -> RunResult {
-    let decomp = Arc::new(Decomposition::new(
-        Domain::periodic_cube(n),
-        RegionSpec::Count(regions),
-    ));
-    let ua = TileArray::new(decomp.clone(), 1, ExchangeMode::Faces, backed);
-    let ub = TileArray::new(decomp.clone(), 1, ExchangeMode::Faces, backed);
-    ua.fill_valid(crate::heat::heat_init());
-
-    let mut acc = tida_acc::MultiAcc::new(GpuSystem::multi(cfg.clone(), devices, backed));
-    let a = acc.register(&ua);
-    let b = acc.register(&ub);
-    let tiles = tiles_of(&decomp, TileSpec::RegionSized);
-    let (mut src, mut dst) = (a, b);
-    let fac = heat::DEFAULT_FAC;
-    for _ in 0..steps {
-        acc.fill_boundary(src).unwrap();
-        for &t in &tiles {
-            acc.compute2(
-                t,
-                dst,
-                src,
-                heat::cost(t.num_cells()),
-                "heat",
-                move |d, s, bx| heat::step_tile(d, s, &bx, fac),
-            )
-            .unwrap();
-        }
-        std::mem::swap(&mut src, &mut dst);
-    }
-    acc.sync_to_host(src).unwrap();
-    let elapsed = acc.finish();
-    let final_array = if src == a { &ua } else { &ub };
-    RunResult {
-        label: format!("TiDA-multi({regions}r,{devices}gpu)"),
-        elapsed,
-        bytes_h2d: acc.gpu().stats_bytes_h2d(),
-        bytes_d2h: acc.gpu().stats_bytes_d2h(),
-        kernels: acc.gpu().stats_kernels(),
-        result: final_array.to_dense(),
-        trace: None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -17,16 +17,22 @@
 //! moves comes from the source array's *exchange plan*, built once per
 //! owner map for the cluster's [`Transport`]: under
 //! [`Transport::FacePacked`] (the default) only the ghost patches whose
-//! two regions live on different devices travel, and the rest are
-//! filled on the device; under [`Transport::HostStaged`] every region
-//! stages its whole grown slab out and back in, and every patch travels.
+//! two regions live on different nodes travel, patches between two
+//! devices of one node go device to device, and the rest are filled on
+//! the device; under [`Transport::HostStaged`] every region stages its
+//! whole grown slab out and back in, and every patch travels.
 //!
 //! 1. **Stage out** — per region, the cells of the source that leave the
 //!    device are copied device→host on the region's *exchange stream*,
 //!    ordered after the previous step's kernels by an event from the
 //!    *compute stream*. A region whose source is not yet resident (step
 //!    0, post-restore) is uploaded whole instead; the host copy is
-//!    already authoritative.
+//!    already authoritative. Behind the stage-out, each *peer patch* (its
+//!    two regions on different devices of one node) is packed by a
+//!    kernel on the source region's exchange stream into a staging
+//!    buffer, and a peer copy (`cudaMemcpyPeerAsync`) moves it to a
+//!    staging buffer on the destination device, on the destination
+//!    region's exchange stream.
 //! 2. **Interior compute** — the stencil over `valid.grow(-ghost)` runs
 //!    on the compute stream. It reads only valid cells, so it needs no
 //!    ghost data and overlaps the wire traffic of phase 3. Behind it, a
@@ -43,10 +49,11 @@
 //!    ([`GpuSystem::net_deliver`]) on the destination region's exchange
 //!    stream, whose data effect scatters the payload into the
 //!    destination host slab.
-//! 4. **Stage in** — per region that received anything, the received
-//!    ghost cells are uploaded on the exchange stream, ordered after the
-//!    interior kernel (the upload writes the buffer it reads) and after
-//!    the device's last fill (the fills read it too).
+//! 4. **Stage in** — per region that received anything, an unpack
+//!    kernel per peer patch scatters the staged cells into its ghosts
+//!    and the received wire ghosts are uploaded, on the exchange stream,
+//!    ordered after the interior kernel (they write the buffer it reads)
+//!    and after the device's last fill (the fills read it too).
 //! 5. **Boundary compute** — the shell of the valid box (the onion peel
 //!    `valid ∖ interior`, at most six boxes) runs on the compute stream,
 //!    ordered after the upload, or after the device's last fill when
@@ -69,17 +76,20 @@
 //!
 //! # Elasticity and faults
 //!
-//! Node health is tracked per node with the same [`HealthMonitor`] the
-//! multi-GPU runtime uses per device. When a node dies (a
-//! [`gpu_sim::DeviceDeath`] aimed at one of its devices, addressed by
-//! *global* device index `node * devices_per_node + local`), the step
-//! surfaces [`ClusterError::NodeLost`]; [`Cluster::failover`] restores a
-//! [`Checkpoint`] (the TACK snapshot format, reused as the live-migration
-//! payload) and [`Cluster::migrate_off`] re-owns the dead node's regions
-//! onto healthy survivors — fresh streams, fresh device buffers, and the
-//! host slabs re-adopted on the new owner (slab storage is shared, so the
-//! adoption *is* the migration). Replaying from the snapshot's step is
-//! bit-identical to a failure-free run.
+//! The unit of failure is one device, addressed by its *global* slot
+//! `node * devices_per_node + local`; a [`HealthMonitor`] scores every
+//! slot. When a device dies (a [`gpu_sim::DeviceDeath`] aimed at its
+//! slot), the step surfaces [`ClusterError::DeviceLost`];
+//! [`Cluster::failover`] restores a [`Checkpoint`] (the TACK snapshot
+//! format, reused as the live-migration payload) and
+//! [`Cluster::migrate_off`] re-owns the dead device's regions onto
+//! healthy surviving devices — fresh streams, fresh device buffers, and,
+//! on another node, the host slabs re-adopted there (slab storage is
+//! shared, so the adoption *is* the migration). A node whose platform
+//! crashed loses all its devices. Replaying from the snapshot's step is
+//! bit-identical to a failure-free run. A one-node cluster with several
+//! devices is thus a multi-GPU runtime that survives losing any device
+//! but the last.
 //!
 //! Link-scoped faults ([`gpu_sim::LinkFault`]: drop / reorder / flap on a
 //! named link) are carried by the cluster-wide [`FaultPlan`] and
@@ -87,6 +97,7 @@
 //! data — the protocol waits for every delivery before consuming ghosts,
 //! so results stay bit-identical under any link-fault schedule.
 
+mod multi;
 pub mod net;
 mod plan;
 
@@ -100,7 +111,7 @@ use gpu_sim::{
 };
 use memslab::Slab;
 use plan::{ExchangePlan, Xfer};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::sync::Arc;
 use tida::{Box3, Decomposition, IntVect, Layout, TileArray};
@@ -214,9 +225,9 @@ fn node_plan(plan: &FaultPlan, node: usize, dpn: usize) -> FaultPlan {
 pub enum ClusterError {
     /// A node's whole platform crashed; everything it owned is gone.
     Crashed { node: usize },
-    /// A node lost a device (or the node itself); its regions can be
-    /// migrated onto survivors via [`Cluster::failover`].
-    NodeLost { node: usize },
+    /// A device (by global slot) died; its regions can be migrated onto
+    /// the surviving devices via [`Cluster::failover`].
+    DeviceLost { device: usize },
     /// Device allocation failed on a node.
     Alloc { node: usize, bytes: u64 },
     /// A transfer kept faulting past the retry budget.
@@ -225,7 +236,7 @@ pub enum ClusterError {
     Integrity { region: usize },
     /// A snapshot could not be applied.
     Snapshot(CheckpointError),
-    /// No healthy node is left to migrate onto.
+    /// No live device is left to migrate onto.
     NoSurvivors,
 }
 
@@ -233,7 +244,7 @@ impl std::fmt::Display for ClusterError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ClusterError::Crashed { node } => write!(f, "node {node} crashed"),
-            ClusterError::NodeLost { node } => write!(f, "node {node} lost"),
+            ClusterError::DeviceLost { device } => write!(f, "device {device} lost"),
             ClusterError::Alloc { node, bytes } => {
                 write!(f, "allocation of {bytes} bytes failed on node {node}")
             }
@@ -247,7 +258,7 @@ impl std::fmt::Display for ClusterError {
                 )
             }
             ClusterError::Snapshot(e) => write!(f, "snapshot rejected: {e:?}"),
-            ClusterError::NoSurvivors => write!(f, "no healthy node left to migrate onto"),
+            ClusterError::NoSurvivors => write!(f, "no live device left to migrate onto"),
         }
     }
 }
@@ -270,6 +281,18 @@ struct CArray {
     dev: Vec<DeviceBuffer>,
     resident: Vec<bool>,
     dirty: Vec<bool>,
+    /// Staging buffers of the array plan's peer patches, in plan order.
+    stage: Vec<Stage>,
+}
+
+/// The device buffers one peer patch travels through: packed on the
+/// source device, copied into the destination device, unpacked there.
+struct Stage {
+    node: usize,
+    src: DeviceBuffer,
+    dst: DeviceBuffer,
+    /// The last peer copy out of `src`; the next pack into it waits.
+    copied: Option<Event>,
 }
 
 /// The cluster runtime. See the module docs for the protocol.
@@ -291,7 +314,8 @@ pub struct Cluster {
     /// Per-array exchange plan for the current owners (built with them).
     plans: Vec<Arc<ExchangePlan>>,
     retry: RetryPolicy,
-    /// Per-*node* health scores fed by the transfer retry loops.
+    /// Per-device health scores (by global slot) fed by the transfer
+    /// retry loops.
     health: HealthMonitor,
     stats: AccStats,
 }
@@ -314,7 +338,7 @@ impl Cluster {
             cfg.fault.seed,
             cfg.fault.link_faults.clone(),
         );
-        let health = HealthMonitor::with_defaults(cfg.nodes);
+        let health = HealthMonitor::with_defaults(cfg.nodes * cfg.devices_per_node);
         Cluster {
             nodes,
             dpn: cfg.devices_per_node,
@@ -356,6 +380,7 @@ impl Cluster {
             dev: Vec::new(),
             resident: Vec::new(),
             dirty: Vec::new(),
+            stage: Vec::new(),
         });
         ArrayId(self.arrays.len() - 1)
     }
@@ -381,6 +406,12 @@ impl Cluster {
         self.owner[region] / self.dpn
     }
 
+    /// Global device slot (`node * devices_per_node + local`) currently
+    /// owning a region.
+    pub fn owner(&self, region: usize) -> usize {
+        self.owner[region]
+    }
+
     /// Runtime counters (shared [`AccStats`] shape with the single-node
     /// runtimes; cache-protocol counters stay zero here).
     pub fn stats(&self) -> AccStats {
@@ -392,7 +423,8 @@ impl Cluster {
         self.net.stats()
     }
 
-    /// The per-node health monitor feeding migration decisions.
+    /// The per-device health monitor (indexed by global slot) feeding
+    /// migration decisions.
     pub fn health(&self) -> &HealthMonitor {
         &self.health
     }
@@ -466,6 +498,11 @@ impl Cluster {
         self.nodes.iter().map(|n| n.stats_bytes_d2h()).sum()
     }
 
+    /// Summed device-to-device bytes across all nodes.
+    pub fn bytes_p2p(&self) -> u64 {
+        self.nodes.iter().map(|n| n.stats_bytes_p2p()).sum()
+    }
+
     /// Summed NIC-received bytes across all nodes (the node-side view of
     /// [`NetStats::bytes`]).
     pub fn bytes_net(&self) -> u64 {
@@ -504,16 +541,26 @@ impl Cluster {
     // Region plumbing.
     // ------------------------------------------------------------------
 
-    /// Fail fast when region `r`'s owner node crashed or lost a device.
+    /// Fail fast when region `r`'s owner node crashed or its owner
+    /// device died.
     fn check_region(&self, r: usize) -> Result<(), ClusterError> {
         let node = self.node_of(r);
         if self.nodes[node].crashed() {
             return Err(ClusterError::Crashed { node });
         }
         if self.nodes[node].device_lost(self.dev_of(r)) {
-            return Err(ClusterError::NodeLost { node });
+            return Err(ClusterError::DeviceLost {
+                device: self.owner[r],
+            });
         }
         Ok(())
+    }
+
+    /// Whether global device slot `d` is gone: its node crashed or the
+    /// device itself died.
+    fn slot_lost(&self, d: usize) -> bool {
+        let node = &self.nodes[d / self.dpn];
+        node.crashed() || node.device_lost(d % self.dpn)
     }
 
     /// Assign owners and allocate streams, device buffers and host-buffer
@@ -536,31 +583,38 @@ impl Cluster {
         }
         for ai in 0..self.arrays.len() {
             for r in 0..regions {
-                let (node, dev) = (self.node_of(r), self.dev_of(r));
+                let node = self.node_of(r);
                 let slab = self.arrays[ai].array.region(r).slab.clone();
                 let len = slab.len();
                 let host = self.nodes[node].adopt_host_slab(slab, HostMemKind::Pinned);
-                let buf = self.nodes[node].malloc_device_on(dev, len).map_err(|_| {
-                    ClusterError::Alloc {
-                        node,
-                        bytes: (len * std::mem::size_of::<f64>()) as u64,
-                    }
-                })?;
+                let buf = self.malloc_on(self.owner[r], len)?;
                 self.arrays[ai].host.push(host);
                 self.arrays[ai].dev.push(buf);
             }
             self.arrays[ai].resident = vec![false; regions];
             self.arrays[ai].dirty = vec![false; regions];
         }
-        self.build_plans();
+        self.build_plans()?;
         self.initialized = true;
         Ok(())
     }
 
-    /// Plan every array's exchange for the current owners. Arrays of one
-    /// ghost width and exchange mode have the same patches and layouts,
-    /// so they share one plan.
-    fn build_plans(&mut self) {
+    /// Allocate `len` cells on global device slot `slot`.
+    fn malloc_on(&mut self, slot: usize, len: usize) -> Result<DeviceBuffer, ClusterError> {
+        let node = slot / self.dpn;
+        self.nodes[node]
+            .malloc_device_on(slot % self.dpn, len)
+            .map_err(|_| ClusterError::Alloc {
+                node,
+                bytes: (len * std::mem::size_of::<f64>()) as u64,
+            })
+    }
+
+    /// Plan every array's exchange for the current owners and allocate
+    /// the staging buffers of its peer patches. Arrays of one ghost width
+    /// and exchange mode have the same patches and layouts, so they share
+    /// one plan; each keeps its own staging buffers.
+    fn build_plans(&mut self) -> Result<(), ClusterError> {
         let cfg = self.nodes[0].config();
         let shape = |a: &TileArray| (a.ghost(), a.exchange_mode());
         let mut plans: Vec<Arc<ExchangePlan>> = Vec::with_capacity(self.arrays.len());
@@ -572,11 +626,35 @@ impl Cluster {
                     self.transport,
                     &e.array,
                     &self.owner,
+                    self.dpn,
                     cfg,
                 )),
             });
         }
         self.plans = plans;
+        for ai in 0..self.arrays.len() {
+            for old in std::mem::take(&mut self.arrays[ai].stage) {
+                self.nodes[old.node].free_device(old.src);
+                self.nodes[old.node].free_device(old.dst);
+            }
+            let (plan, patches) = (
+                Arc::clone(&self.plans[ai]),
+                self.arrays[ai].array.patches_arc(),
+            );
+            for &i in &plan.peers {
+                let p = &patches[i];
+                let cells = p.num_cells() as usize;
+                let src = self.malloc_on(self.owner[p.src_region], cells)?;
+                let dst = self.malloc_on(self.owner[p.dst_region], cells)?;
+                self.arrays[ai].stage.push(Stage {
+                    node: self.owner[p.dst_region] / self.dpn,
+                    src,
+                    dst,
+                    copied: None,
+                });
+            }
+        }
+        Ok(())
     }
 
     /// Move the cells `x` of region `r` of array `a` between its host and
@@ -606,9 +684,11 @@ impl Cluster {
                 return Err(ClusterError::Crashed { node });
             }
             if self.nodes[node].device_lost(self.dev_of(r)) {
-                return Err(ClusterError::NodeLost { node });
+                return Err(ClusterError::DeviceLost {
+                    device: self.owner[r],
+                });
             }
-            self.health.observe_fault(node);
+            self.health.observe_fault(self.owner[r]);
             if self.retry.exhausted(attempt) {
                 if dir == Dir::H2d {
                     return Err(ClusterError::TransferExhausted { region: r });
@@ -627,7 +707,7 @@ impl Cluster {
             attempt += 1;
         }
         if !self.nodes[node].op_faulted(op) {
-            self.health.observe_success(node);
+            self.health.observe_success(self.owner[r]);
         }
         Ok(op)
     }
@@ -782,6 +862,9 @@ impl Cluster {
                 self.arrays[dst.0].resident[r] = true;
             }
         }
+        if !plan.peers.is_empty() {
+            self.send_peers(src, &plan)?;
+        }
 
         // Phase 2: interior kernels — they need no ghost data, so they
         // overlap the wire traffic submitted in phase 3.
@@ -819,7 +902,7 @@ impl Cluster {
                         src,
                         r,
                         fill,
-                        staged[r].is_some(),
+                        staged[r].is_some() || plan.regions[r].packs,
                         &ready,
                         filled[self.owner[r]],
                     );
@@ -890,7 +973,8 @@ impl Cluster {
         for (r, interior) in interiors.into_iter().enumerate() {
             let node = self.node_of(r);
             let fills_done = filled.get(self.owner[r]).copied().flatten();
-            if plan.recv(r).is_empty() {
+            let rp = &plan.regions[r];
+            if plan.recv(r).is_empty() && rp.peers_in.is_empty() && !rp.packs {
                 // Later steps overwrite this region's buffers, which the
                 // device's fills read.
                 if let Some(ev) = fills_done {
@@ -903,6 +987,9 @@ impl Cluster {
                 }
                 if let Some(ev) = fills_done {
                     self.nodes[node].stream_wait_event(self.xstream[r], ev);
+                }
+                for k in rp.peers_in.clone() {
+                    self.unpack(src, &plan, k);
                 }
                 for x in plan.recv(r) {
                     self.transfer(Dir::H2d, src.0, r, *x, self.xstream[r])?;
@@ -920,9 +1007,92 @@ impl Cluster {
         Ok(())
     }
 
+    /// Pack every peer patch of array `a` on its source region's exchange
+    /// stream, then copy each to its destination device on the
+    /// destination region's exchange stream. All packs are submitted
+    /// before any copy waits for one, so no exchange stream stalls on
+    /// another device's pack ahead of its own.
+    fn send_peers(&mut self, a: ArrayId, plan: &ExchangePlan) -> Result<(), ClusterError> {
+        let patches = self.arrays[a.0].array.patches_arc();
+        let mut packed = Vec::with_capacity(plan.peers.len());
+        for (k, &i) in plan.peers.iter().enumerate() {
+            let p = patches[i];
+            let s = p.src_region;
+            let node = self.node_of(s);
+            let (xs, stage) = (self.xstream[s], &self.arrays[a.0].stage[k]);
+            if let Some(ev) = stage.copied {
+                self.nodes[node].stream_wait_event(xs, ev);
+            }
+            let (from, to) = (self.arrays[a.0].dev[s], stage.src);
+            let src_layout = self.arrays[a.0].array.region(s).layout;
+            let (src_slab, stage_slab) = (
+                self.nodes[node].device_slab(from),
+                self.nodes[node].device_slab(to),
+            );
+            let backed = self.nodes[node].backed();
+            self.nodes[node].launch_kernel(
+                xs,
+                KernelLaunch::new("pack", KernelCost::Bytes(16 * p.num_cells()))
+                    .efficiency(self.kernel_efficiency)
+                    .reads(from.into())
+                    .writes(to.into())
+                    .exec_if(backed, move || {
+                        // The staging buffer holds the patch laid out by
+                        // its own box.
+                        let stage = Layout::new(p.dst_box);
+                        let (nx, rows) = tida::patch_rows(stage, src_layout, p.dst_box, p.shift);
+                        memslab::copy_rows(&stage_slab, &src_slab, nx, rows);
+                    }),
+            );
+            packed.push(self.nodes[node].record_event(xs));
+            self.check_region(s)?;
+        }
+        for (k, &i) in plan.peers.iter().enumerate() {
+            let p = &patches[i];
+            let (node, xd) = (self.node_of(p.dst_region), self.xstream[p.dst_region]);
+            let Stage { src, dst, .. } = self.arrays[a.0].stage[k];
+            self.nodes[node].stream_wait_event(xd, packed[k]);
+            self.nodes[node].memcpy_p2p_async(dst, 0, src, 0, p.num_cells() as usize, xd);
+            self.arrays[a.0].stage[k].copied = Some(self.nodes[node].record_event(xd));
+            self.check_region(p.src_region)?;
+            self.check_region(p.dst_region)?;
+        }
+        Ok(())
+    }
+
+    /// Scatter peer patch `k` of array `a`'s plan from its destination
+    /// staging buffer into the destination region's ghosts, on that
+    /// region's exchange stream.
+    fn unpack(&mut self, a: ArrayId, plan: &ExchangePlan, k: usize) {
+        let p = self.arrays[a.0].array.patches()[plan.peers[k]];
+        let r = p.dst_region;
+        let node = self.node_of(r);
+        let (from, to) = (self.arrays[a.0].stage[k].dst, self.arrays[a.0].dev[r]);
+        let dst_layout = self.arrays[a.0].array.region(r).layout;
+        let (stage_slab, dst_slab) = (
+            self.nodes[node].device_slab(from),
+            self.nodes[node].device_slab(to),
+        );
+        let backed = self.nodes[node].backed();
+        self.nodes[node].launch_kernel(
+            self.xstream[r],
+            KernelLaunch::new("unpack", KernelCost::Bytes(16 * p.num_cells()))
+                .efficiency(self.kernel_efficiency)
+                .reads(from.into())
+                .writes(to.into())
+                .exec_if(backed, move || {
+                    let stage = Layout::new(p.dst_box);
+                    let (nx, rows) = tida::patch_rows(dst_layout, stage, p.dst_box, IntVect::ZERO);
+                    memslab::copy_rows(&dst_slab, &stage_slab, nx, rows);
+                }),
+        );
+        self.stats.ghost_gpu += 1;
+    }
+
     /// Launch region `r`'s ghost fill of array `a` on its compute stream:
     /// one kernel copying every same-device patch into the region's
-    /// ghosts. It runs after the region's send copy when `sent`, after
+    /// ghosts. It runs after the region's send copies and packs when
+    /// `sent` (they read the buffer it writes), after
     /// its sources' `ready` events and after the device's previous fill
     /// `prev`. Returns the event the next fill on the device waits for.
     fn launch_fill(
@@ -1005,7 +1175,7 @@ impl Cluster {
         self.arrays[a.0].dirty[r] = false;
         if self.nodes[node].host_poisoned(self.arrays[a.0].host[r]) {
             self.stats.integrity_detected += 1;
-            self.health.observe_integrity(node);
+            self.health.observe_integrity(self.owner[r]);
             return Err(ClusterError::Integrity { region: r });
         }
         Ok(())
@@ -1019,14 +1189,73 @@ impl Cluster {
         Ok(())
     }
 
+    /// Reduce `map(cell)` over every valid cell of `array` with `combine`:
+    /// one kernel per resident region on its owner device (a region whose
+    /// host copy is authoritative is reduced on the host, priced as host
+    /// work), the partials combined on the host in region order.
+    /// Blocking. `None` for a timing-only run.
+    pub fn reduce<M, C>(
+        &mut self,
+        array: ArrayId,
+        label: &'static str,
+        identity: f64,
+        map: M,
+        combine: C,
+    ) -> Result<Option<f64>, ClusterError>
+    where
+        M: Fn(f64) -> f64 + Clone + 'static,
+        C: Fn(f64, f64) -> f64 + Clone + 'static,
+    {
+        self.ensure_init()?;
+        let regions = self.num_regions();
+        let partials: Rc<[Cell<f64>]> = (0..regions).map(|_| Cell::new(identity)).collect();
+        for r in 0..regions {
+            self.check_region(r)?;
+            let node = self.node_of(r);
+            let reg = self.arrays[array.0].array.region(r);
+            let (valid, layout, host_slab) = (reg.valid, reg.layout, reg.slab.clone());
+            let cost = KernelCost::Bytes(valid.num_cells() * 8);
+            let (m, c, out) = (map.clone(), combine.clone(), Rc::clone(&partials));
+            let partial = move |slab: &Slab| {
+                tida::with_view(slab, layout, |v| {
+                    out[r].set(valid.iter().fold(identity, |acc, iv| c(acc, m(v.at(iv)))));
+                });
+            };
+            if self.arrays[array.0].resident[r] {
+                let dev = self.arrays[array.0].dev[r];
+                let slab = self.nodes[node].device_slab(dev);
+                self.nodes[node].launch_kernel(
+                    self.cstream[r],
+                    KernelLaunch::new(label, cost)
+                        .efficiency(self.kernel_efficiency)
+                        .reads(dev.into())
+                        .exec(move || partial(&slab)),
+                );
+                self.stats.kernels_gpu += 1;
+            } else {
+                partial(&host_slab);
+                let d = cost.duration_on_host(self.nodes[node].config());
+                self.nodes[node].host_work(d, label);
+            }
+            self.check_region(r)?;
+        }
+        for n in &mut self.nodes {
+            n.device_synchronize();
+        }
+        if self.arrays[array.0].array.is_virtual() {
+            return Ok(None);
+        }
+        Ok(Some(partials.iter().map(Cell::get).fold(identity, combine)))
+    }
+
     // ------------------------------------------------------------------
     // Checkpoint / restore / live migration.
     // ------------------------------------------------------------------
 
-    /// Nodes that crashed or lost a device.
-    pub fn lost_nodes(&self) -> Vec<usize> {
-        (0..self.nodes.len())
-            .filter(|&n| self.nodes[n].crashed() || !self.nodes[n].lost_devices().is_empty())
+    /// Global slots of the devices that died or whose node crashed.
+    pub fn lost_devices(&self) -> Vec<usize> {
+        (0..self.nodes.len() * self.dpn)
+            .filter(|&d| self.slot_lost(d))
             .collect()
     }
 
@@ -1116,83 +1345,75 @@ impl Cluster {
         Ok(())
     }
 
-    /// Re-own every region of `from_node` onto surviving nodes: fresh
-    /// streams and device buffers on the new owner, the region host slabs
-    /// re-adopted there (shared storage — the adoption is the live
-    /// migration), residency dropped. Healthy survivors are preferred;
-    /// quarantined ones are a last resort.
-    pub fn migrate_off(&mut self, from_node: usize) -> Result<(), ClusterError> {
-        let from_lost =
-            self.nodes[from_node].crashed() || !self.nodes[from_node].lost_devices().is_empty();
-        if from_lost {
-            self.health.note_dead(from_node);
+    /// Re-own every region of device slot `from` onto the surviving
+    /// devices, round-robin: fresh streams and device buffers on the new
+    /// owner, the region host slabs re-adopted when it sits on another
+    /// node (shared storage — the adoption is the live migration),
+    /// residency dropped. Healthy survivors are preferred; quarantined
+    /// ones are a last resort.
+    pub fn migrate_off(&mut self, from: usize) -> Result<(), ClusterError> {
+        if self.slot_lost(from) {
+            self.health.note_dead(from);
         }
         if !self.initialized {
             return Ok(());
         }
-        let all: Vec<usize> = (0..self.nodes.len())
-            .filter(|&n| {
-                n != from_node
-                    && !self.nodes[n].crashed()
-                    && self.nodes[n].lost_devices().is_empty()
-            })
+        let all: Vec<usize> = (0..self.nodes.len() * self.dpn)
+            .filter(|&d| d != from && !self.slot_lost(d))
             .collect();
         let healthy: Vec<usize> = all
             .iter()
             .copied()
-            .filter(|&n| self.health.state(n) == HealthState::Healthy)
+            .filter(|&d| self.health.state(d) == HealthState::Healthy)
             .collect();
         let survivors = if healthy.is_empty() { all } else { healthy };
         if survivors.is_empty() {
             return Err(ClusterError::NoSurvivors);
         }
-        let regions = self.num_regions();
         let mut next = 0usize;
-        for r in 0..regions {
-            if self.node_of(r) != from_node {
+        for r in 0..self.num_regions() {
+            if self.owner[r] != from {
                 continue;
             }
-            let new_node = survivors[next % survivors.len()];
-            let new_dev = next % self.dpn;
+            let old_node = self.node_of(r);
+            let slot = survivors[next % survivors.len()];
             next += 1;
-            self.owner[r] = new_node * self.dpn + new_dev;
-            self.cstream[r] = self.nodes[new_node].create_stream_on(new_dev);
-            self.xstream[r] = self.nodes[new_node].create_stream_on(new_dev);
+            self.owner[r] = slot;
+            let (node, dev) = (self.node_of(r), self.dev_of(r));
+            self.cstream[r] = self.nodes[node].create_stream_on(dev);
+            self.xstream[r] = self.nodes[node].create_stream_on(dev);
             self.stats.regions_migrated += 1;
             for ai in 0..self.arrays.len() {
                 let slab = self.arrays[ai].array.region(r).slab.clone();
                 let len = slab.len();
-                let bytes = (len * std::mem::size_of::<f64>()) as u64;
-                // The old buffers are stranded on `from_node`; the node
-                // (or its trustworthiness) is gone.
-                let host = self.nodes[new_node].adopt_host_slab(slab, HostMemKind::Pinned);
-                let dev = self.nodes[new_node]
-                    .malloc_device_on(new_dev, len)
-                    .map_err(|_| ClusterError::Alloc {
-                        node: new_node,
-                        bytes,
-                    })?;
-                self.arrays[ai].host[r] = host;
-                self.arrays[ai].dev[r] = dev;
+                // The old buffers are stranded on `from`; the device (or
+                // its trustworthiness) is gone.
+                if node != old_node {
+                    self.arrays[ai].host[r] =
+                        self.nodes[node].adopt_host_slab(slab, HostMemKind::Pinned);
+                }
+                self.arrays[ai].dev[r] = self.malloc_on(slot, len)?;
                 self.arrays[ai].resident[r] = false;
                 self.arrays[ai].dirty[r] = false;
                 self.stats.migration_restage_loads += 1;
-                self.stats.migration_restage_bytes += bytes;
+                self.stats.migration_restage_bytes += (len * std::mem::size_of::<f64>()) as u64;
             }
         }
-        self.build_plans();
+        if next > 0 {
+            self.build_plans()?;
+        }
         Ok(())
     }
 
-    /// The full node-loss recovery protocol: restore the snapshot, then
-    /// migrate every lost node's regions onto the survivors. Returns the
+    /// The full device-loss recovery protocol: restore the snapshot, then
+    /// migrate every lost device's regions onto the survivors. Returns the
     /// step to resume from; replaying from there is bit-identical to a
     /// failure-free run because reconstruction happens purely from the
     /// snapshot's host data.
     pub fn failover(&mut self, ck: &Checkpoint) -> Result<u64, ClusterError> {
         self.restore(ck).map_err(ClusterError::Snapshot)?;
-        for n in self.lost_nodes() {
-            self.migrate_off(n)?;
+        for d in self.lost_devices() {
+            self.migrate_off(d)?;
         }
         self.stats.checkpoints_restored += 1;
         Ok(ck.step)
@@ -1433,8 +1654,8 @@ mod tests {
                 heat::step_tile(d, sv, &bx, heat::DEFAULT_FAC)
             }) {
                 Ok(()) => s += 1,
-                Err(ClusterError::NodeLost { node }) => {
-                    assert_eq!(node, 1);
+                Err(ClusterError::DeviceLost { device }) => {
+                    assert_eq!(device, 1);
                     s = cl.failover(&ck).unwrap();
                     recoveries += 1;
                     assert!(recoveries <= 2, "failover must converge");

@@ -1,6 +1,7 @@
 //! Per-region exchange plans: what a step moves between host and device
-//! for each region, which ghost patches cross the wire, and which ghosts
-//! the device fills itself.
+//! for each region, which ghost patches cross the wire, which travel
+//! device to device inside a node, and which ghosts the device fills
+//! itself.
 //!
 //! A plan depends only on the decomposition, the transport and the region
 //! owners, so [`crate::Cluster`] builds one per registered array when it
@@ -19,11 +20,13 @@ pub enum Transport {
     /// path), and the whole slab comes back host→device. The host mirror
     /// of the source is exact after every step.
     HostStaged,
-    /// Only the cells of patches that leave the device go device→host,
+    /// Only the cells of patches that leave the node go device→host,
     /// only those patches travel as messages, and only the received ghost
     /// cells come back host→device. Same-device patches (periodic
     /// self-patches and neighbours on the same device) never leave the
     /// device: one ghost-fill kernel per region copies them in place.
+    /// Patches between two devices of one node never touch the host: a
+    /// pack kernel, a peer copy and an unpack kernel move each one.
     #[default]
     FacePacked,
 }
@@ -72,6 +75,11 @@ pub(crate) struct RegionPlan {
     /// Phase 4 host→device copies, as a range of the plan's copy list
     /// (empty: nothing arrives over the wire).
     recv: Range<usize>,
+    /// The peer patches into the region, as a range of the plan's peer
+    /// list.
+    pub(crate) peers_in: Range<usize>,
+    /// Whether a peer patch reads the region (its exchange stream packs).
+    pub(crate) packs: bool,
 }
 
 /// One array's exchange plan under one transport and one owner map.
@@ -83,6 +91,9 @@ pub(crate) struct ExchangePlan {
     /// Indices into the array's patch list of the patches that travel as
     /// messages, in patch-list order.
     pub(crate) wire: Vec<usize>,
+    /// Indices into the array's patch list of the patches between two
+    /// devices of one node, grouped by destination region.
+    pub(crate) peers: Vec<usize>,
     /// Whether any region has a device-side fill.
     pub(crate) fills: bool,
 }
@@ -99,18 +110,19 @@ impl ExchangePlan {
     }
 
     /// Whether region `r`'s exchange stream carries any of the step's
-    /// copies or deliveries.
+    /// copies, deliveries, packs or unpacks.
     pub(crate) fn uses_exchange_stream(&self, r: usize) -> bool {
         let rp = &self.regions[r];
-        !rp.send.is_empty() || !rp.recv.is_empty()
+        !rp.send.is_empty() || !rp.recv.is_empty() || rp.packs || !rp.peers_in.is_empty()
     }
 
     /// Plan `array`'s exchange with region `r` owned by global device
-    /// slot `owner[r]`, pricing copies on `cfg`.
+    /// slot `owner[r]` (node `owner[r] / dpn`), pricing copies on `cfg`.
     pub(crate) fn build(
         transport: Transport,
         array: &TileArray,
         owner: &[usize],
+        dpn: usize,
         cfg: &MachineConfig,
     ) -> ExchangePlan {
         let patches = array.patches();
@@ -125,6 +137,8 @@ impl ExchangePlan {
                         send_whole: true,
                         fill: None,
                         recv: append(&mut copies, [whole]),
+                        peers_in: 0..0,
+                        packs: false,
                     }
                 })
                 .collect();
@@ -132,14 +146,25 @@ impl ExchangePlan {
                 regions,
                 copies,
                 wire: (0..patches.len()).collect(),
+                peers: Vec::new(),
                 fills: false,
             };
         }
 
         let local = |p: &GhostPatch| owner[p.src_region] == owner[p.dst_region];
+        let same_node = |p: &GhostPatch| owner[p.src_region] / dpn == owner[p.dst_region] / dpn;
         let wire: Vec<usize> = (0..patches.len())
-            .filter(|&i| !local(&patches[i]))
+            .filter(|&i| !same_node(&patches[i]))
             .collect();
+        let mut peers_into: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut packs = vec![false; n];
+        for (i, p) in patches.iter().enumerate() {
+            if same_node(p) && !local(p) {
+                peers_into[p.dst_region].push(i);
+                packs[p.src_region] = true;
+            }
+        }
+        let mut peers = Vec::new();
         let mut send_runs: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
         let mut recv_runs: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
         for &i in &wire {
@@ -180,13 +205,13 @@ impl ExchangePlan {
                 // a device→host copy may carry any cell between the runs.
                 let send = cover(union(std::mem::take(&mut send_runs[r])), |_, _| true, d2h);
                 // A host→device copy must not overwrite a valid cell (the
-                // device holds the only fresh copy) or a cell the fill
-                // writes (the host never sees it).
+                // device holds the only fresh copy) or a cell the fill or
+                // an unpack writes (the host never sees it).
                 let mut kept = layout.box_runs(region.valid);
-                if let Some(fill) = &fill {
-                    for p in &fill.patches {
-                        kept.extend(layout.box_runs(p.dst_box));
-                    }
+                let filled = fill.iter().flat_map(|f| f.patches.iter().copied());
+                let unpacked = peers_into[r].iter().map(|&i| patches[i]);
+                for p in filled.chain(unpacked) {
+                    kept.extend(layout.box_runs(p.dst_box));
                 }
                 let kept = union(kept);
                 let recv = cover(
@@ -195,11 +220,15 @@ impl ExchangePlan {
                     h2d,
                 );
                 let send_whole = send == [Xfer::whole(layout.len())];
+                let from = peers.len();
+                peers.append(&mut peers_into[r]);
                 RegionPlan {
                     send: append(&mut copies, send),
                     send_whole,
                     fill,
                     recv: append(&mut copies, recv),
+                    peers_in: from..peers.len(),
+                    packs: packs[r],
                 }
             })
             .collect();
@@ -207,6 +236,7 @@ impl ExchangePlan {
             regions,
             copies,
             wire,
+            peers,
             fills: any_fill,
         }
     }
@@ -305,7 +335,7 @@ mod tests {
     fn host_staged_moves_whole_slabs_and_puts_every_patch_on_the_wire() {
         let a = array(RegionSpec::Count(4), ExchangeMode::Faces);
         let cfg = MachineConfig::k40m();
-        let plan = ExchangePlan::build(Transport::HostStaged, &a, &[0, 0, 1, 1], &cfg);
+        let plan = ExchangePlan::build(Transport::HostStaged, &a, &[0, 0, 1, 1], 1, &cfg);
         assert_eq!(plan.wire.len(), a.patches().len());
         assert!(!plan.fills);
         for (r, rp) in plan.regions.iter().enumerate() {
@@ -322,7 +352,7 @@ mod tests {
         // neighbour across the wire and one on its own device.
         let a = array(RegionSpec::Count(4), ExchangeMode::Faces);
         let cfg = MachineConfig::k40m();
-        let plan = ExchangePlan::build(Transport::FacePacked, &a, &[0, 0, 1, 1], &cfg);
+        let plan = ExchangePlan::build(Transport::FacePacked, &a, &[0, 0, 1, 1], 1, &cfg);
         assert_eq!(plan.wire.len(), 4, "one face per region crosses");
         let face = 8 * 8;
         for (r, rp) in plan.regions.iter().enumerate() {
@@ -344,6 +374,45 @@ mod tests {
     }
 
     #[test]
+    fn two_devices_of_one_node_trade_faces_peer_to_peer() {
+        // The same four z-slabs on one node with two devices: the faces
+        // between the devices become peer patches and nothing is staged.
+        let a = array(RegionSpec::Count(4), ExchangeMode::Faces);
+        let cfg = MachineConfig::k40m();
+        let owner = [0, 0, 1, 1];
+        let plan = ExchangePlan::build(Transport::FacePacked, &a, &owner, 2, &cfg);
+        assert!(plan.wire.is_empty(), "nothing leaves the node");
+        assert_eq!(plan.peers.len(), 4, "one cross-device face per region");
+        for (r, rp) in plan.regions.iter().enumerate() {
+            assert!(plan.send(r).is_empty() && plan.recv(r).is_empty());
+            assert!(rp.packs);
+            let peers = &plan.peers[rp.peers_in.clone()];
+            assert_eq!(peers.len(), 1);
+            let p = a.patches()[peers[0]];
+            assert_eq!(p.dst_region, r);
+            assert_ne!(owner[p.src_region], owner[r], "peers cross devices");
+            assert!(rp
+                .fill
+                .as_ref()
+                .unwrap()
+                .patches
+                .iter()
+                .all(|p| { owner[p.src_region] == owner[r] }));
+        }
+
+        // Host staging ignores devices: every patch still travels.
+        let staged = ExchangePlan::build(Transport::HostStaged, &a, &owner, 2, &cfg);
+        assert_eq!(staged.wire.len(), a.patches().len());
+        assert!(staged.peers.is_empty() && !staged.fills);
+        for (r, rp) in staged.regions.iter().enumerate() {
+            let whole = Xfer::whole(a.region(r).layout.len());
+            assert_eq!(staged.send(r), [whole]);
+            assert_eq!(staged.recv(r), [whole]);
+            assert!(rp.send_whole && !rp.packs && rp.peers_in.is_empty());
+        }
+    }
+
+    #[test]
     fn faces_split_by_valid_cells_upload_in_separate_copies() {
         // A [4,2,1] grid over two devices: the y-faces cross, and each
         // region receives two ghost rows per z-plane with valid cells
@@ -352,7 +421,7 @@ mod tests {
         let a = array(RegionSpec::Grid([4, 2, 1]), ExchangeMode::Faces);
         let cfg = MachineConfig::k40m();
         let owner = [0, 0, 0, 0, 1, 1, 1, 1];
-        let plan = ExchangePlan::build(Transport::FacePacked, &a, &owner, &cfg);
+        let plan = ExchangePlan::build(Transport::FacePacked, &a, &owner, 1, &cfg);
         for r in 0..owner.len() {
             assert!(plan.recv(r).len() > 1, "region {r}: {:?}", plan.recv(r));
             assert_eq!(plan.send(r).len(), 1, "region {r}: {:?}", plan.send(r));
@@ -361,37 +430,45 @@ mod tests {
 
     #[test]
     fn uploads_carry_every_received_cell_and_no_valid_or_filled_one() {
+        // Two single-device nodes, and two nodes of two devices each.
+        let layouts = [(2, 1), (4, 2)];
         for spec in [RegionSpec::Grid([2, 2, 2]), RegionSpec::Grid([4, 2, 1])] {
             for mode in [ExchangeMode::Faces, ExchangeMode::Full] {
-                let a = array(spec, mode);
-                let n = a.decomp().num_regions();
-                let owner: Vec<usize> = (0..n).map(|r| r * 2 / n).collect();
-                let cfg = MachineConfig::k40m();
-                let plan = ExchangePlan::build(Transport::FacePacked, &a, &owner, &cfg);
-                for (r, rp) in plan.regions.iter().enumerate() {
-                    let region = a.region(r);
-                    let mut kept = region.layout.box_runs(region.valid);
-                    for p in rp.fill.iter().flat_map(|f| &f.patches) {
-                        kept.extend(region.layout.box_runs(p.dst_box));
-                    }
-                    let kept = union(kept);
-                    let recv = plan.recv(r);
-                    for x in recv {
-                        assert!(
-                            !overlaps(&kept, x.off, x.off + x.len),
-                            "{spec:?} {mode:?} r{r}"
-                        );
-                    }
-                    let received = plan.wire.iter().map(|&i| a.patches()[i]);
-                    for p in received.filter(|p| p.dst_region == r) {
-                        for (off, len) in region.layout.box_runs(p.dst_box) {
-                            assert!(
-                                recv.iter()
-                                    .any(|x| x.off <= off && off + len <= x.off + x.len),
-                                "{spec:?} {mode:?} r{r}: run ({off}, {len}) not uploaded"
-                            );
-                        }
-                    }
+                for (slots, dpn) in layouts {
+                    let a = array(spec, mode);
+                    let n = a.decomp().num_regions();
+                    let owner: Vec<usize> = (0..n).map(|r| r * slots / n).collect();
+                    let cfg = MachineConfig::k40m();
+                    let plan = ExchangePlan::build(Transport::FacePacked, &a, &owner, dpn, &cfg);
+                    check_uploads(&a, &plan, &format!("{spec:?} {mode:?} {slots}/{dpn}"));
+                }
+            }
+        }
+    }
+
+    fn check_uploads(a: &TileArray, plan: &ExchangePlan, case: &str) {
+        for (r, rp) in plan.regions.iter().enumerate() {
+            let region = a.region(r);
+            let mut kept = region.layout.box_runs(region.valid);
+            let unpacked = plan.peers[rp.peers_in.clone()]
+                .iter()
+                .map(|&i| &a.patches()[i]);
+            for p in rp.fill.iter().flat_map(|f| &f.patches).chain(unpacked) {
+                kept.extend(region.layout.box_runs(p.dst_box));
+            }
+            let kept = union(kept);
+            let recv = plan.recv(r);
+            for x in recv {
+                assert!(!overlaps(&kept, x.off, x.off + x.len), "{case} r{r}");
+            }
+            let received = plan.wire.iter().map(|&i| a.patches()[i]);
+            for p in received.filter(|p| p.dst_region == r) {
+                for (off, len) in region.layout.box_runs(p.dst_box) {
+                    assert!(
+                        recv.iter()
+                            .any(|x| x.off <= off && off + len <= x.off + x.len),
+                        "{case} r{r}: run ({off}, {len}) not uploaded"
+                    );
                 }
             }
         }

@@ -131,8 +131,8 @@ impl fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-/// A crash-consistent snapshot of a [`crate::TileAcc`] /
-/// [`crate::MultiAcc`]. Produced by their `checkpoint` methods; applied with
+/// A crash-consistent snapshot of a [`crate::TileAcc`] or of the `cluster`
+/// crate's `Cluster`. Produced by their `checkpoint` methods; applied with
 /// `restore`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {

@@ -10,7 +10,8 @@
 
 use std::fmt;
 
-/// A non-degradable runtime failure of [`crate::TileAcc`] / [`crate::MultiAcc`].
+/// A non-degradable runtime failure of [`crate::TileAcc`] or of the jobs the
+/// serving layer runs on its devices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccError {
     /// The simulated platform died (seeded crash fault): in-flight work was
@@ -21,10 +22,10 @@ pub enum AccError {
     /// cannot be sized.
     Capacity { free_bytes: u64, region_bytes: u64 },
     /// A device allocation the runtime cannot run without was refused
-    /// (distributed working set or cross-device staging on [`crate::MultiAcc`]).
+    /// (a serving job's working set).
     DeviceAlloc { bytes: u64 },
     /// A transfer failed persistently past the retry budget on a runtime
-    /// with no host-fallback path ([`crate::MultiAcc`] keeps every region
+    /// with no host-fallback path (a serving job keeps its regions
     /// device-resident).
     TransferExhausted { region: usize },
     /// Silent data corruption the integrity layer could not repair in place:

@@ -11,9 +11,10 @@
 //! observations — instead of oscillating in and out on every window edge.
 //!
 //! The monitor is pure bookkeeping: it never touches the simulator. The
-//! runtimes consult it for placement ([`crate::MultiAcc`] avoids quarantined
-//! devices when re-owning migrated regions) and surface its transition
-//! counters through [`gpu_sim::RunReport::health`].
+//! runtimes consult it for placement (the `cluster` crate's `Cluster`
+//! scores every device of every node and avoids quarantined ones when
+//! re-owning migrated regions) and surface its transition counters (for
+//! [`crate::TileAcc`], through [`gpu_sim::RunReport::health`]).
 
 use gpu_sim::HealthCounters;
 

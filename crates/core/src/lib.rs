@@ -14,6 +14,10 @@
 //! * **Uniform source** — `compute(tile, lambda)` runs the same closure on
 //!   the CPU or the GPU, selected by the iterator's `reset(GPU=...)`.
 //!
+//! Spreading regions over several devices, on one node or many, is the
+//! `cluster` crate's job; it reuses this crate's [`Checkpoint`],
+//! [`HealthMonitor`] and [`RetryPolicy`].
+//!
 //! The GPU itself is the deterministic simulator from `gpu-sim` (see
 //! DESIGN.md §2 for the substitution argument); all data effects are real
 //! when buffers are backed, so the whole protocol is validated bit-for-bit
@@ -56,7 +60,6 @@ mod error;
 mod ghost;
 mod health;
 mod iter;
-mod multi;
 mod options;
 mod plan;
 mod recovery;
@@ -68,7 +71,6 @@ pub use checkpoint::{Checkpoint, CheckpointError, CheckpointPolicy, CheckpointSt
 pub use error::{AccError, IntegrityKind};
 pub use health::{HealthMonitor, HealthPolicy, HealthState};
 pub use iter::AccIter;
-pub use multi::MultiAcc;
 pub use options::{AccOptions, RetryPolicy, SlotPolicy, WritebackPolicy};
 pub use plan::recommend_fusion_depth;
 pub use recovery::{restore_into, RecoveryError, RecoveryOutcome, Supervisor, SupervisorConfig};

@@ -27,8 +27,9 @@ pub enum SlotPolicy {
 /// never overflow).
 ///
 /// One policy governs every retry loop in the stack — the transfer retries
-/// in [`crate::TileAcc`] / [`crate::MultiAcc`] and the job-level admission
-/// retries of the serving layer — so a deployment tunes a single knob.
+/// in [`crate::TileAcc`], the `cluster` runtime and the baselines, and the
+/// job-level admission retries of the serving layer — so a deployment
+/// tunes a single knob.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Retries after the initial attempt before the operation is declared

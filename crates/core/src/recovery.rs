@@ -115,8 +115,8 @@ pub struct Supervisor {
     discarded_time: SimTime,
     /// Health score of the (single) device the supervised [`TileAcc`] runs
     /// on, fed by the same fault/latency/integrity signals the recovery
-    /// state machine reacts to. Multi-device placement consults its
-    /// [`MultiAcc`](crate::MultiAcc) counterpart instead.
+    /// state machine reacts to. Multi-device placement consults the
+    /// per-device monitor of the `cluster` runtime instead.
     health: HealthMonitor,
 }
 

@@ -91,7 +91,7 @@ pub struct AccStats {
     /// kernels_fused` is the average amortization factor k.
     pub fused_substeps: u64,
     /// Regions re-owned onto a surviving device after a device loss or a
-    /// quarantine evacuation (live migration; `MultiAcc` only).
+    /// quarantine evacuation (live migration; the `cluster` runtime only).
     pub regions_migrated: u64,
     /// Host→device uploads owed to migration: each migrated region of each
     /// array must be re-staged from its host mirror onto its new owner.

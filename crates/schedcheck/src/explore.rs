@@ -26,7 +26,7 @@ pub struct RunOutcome {
     pub hazards: u64,
     /// Detected-corruption count from the transfer integrity book.
     pub integrity_detected: u64,
-    /// Accelerator counters, when the program runs through TileAcc/MultiAcc.
+    /// Accelerator counters, when the program runs through TileAcc.
     pub stats: Option<AccStats>,
     /// Recorded span trace; empty unless the oracle asked for one (see
     /// [`ControlOracle::tracing`]).

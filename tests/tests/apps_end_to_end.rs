@@ -430,9 +430,10 @@ fn wave_limited_memory_three_arrays() {
 
 #[test]
 fn wave_on_two_gpus_with_reductions() {
-    // Three time levels distributed over two devices, energy checked via
-    // the distributed reduction — the full multi-GPU API surface at once.
-    use tida_acc::MultiAcc;
+    // Three time levels distributed over two devices of one node, energy
+    // checked via the distributed reduction — the full multi-GPU API
+    // surface at once. `prev` rides along as the step's aux operand.
+    use cluster::{Cluster, ClusterConfig};
     let n = 8i64;
     let steps = 5;
     let c2 = kernels::wave::DEFAULT_C2;
@@ -446,48 +447,41 @@ fn wave_on_two_gpus_with_reductions() {
     bufs[0].fill_valid(&f);
     bufs[1].fill_valid(&f);
 
-    let mut acc = MultiAcc::new(gpu_sim::GpuSystem::multi(
-        gpu_sim::MachineConfig::k40m(),
-        2,
-        true,
-    ));
+    let mut cl = Cluster::new(ClusterConfig::new(1).devices_per_node(2));
     let ids = [
-        acc.register(&bufs[0]),
-        acc.register(&bufs[1]),
-        acc.register(&bufs[2]),
+        cl.register(&bufs[0]),
+        cl.register(&bufs[1]),
+        cl.register(&bufs[2]),
     ];
-    let tiles = tiles_of(&d, TileSpec::RegionSized);
     let (mut prev, mut cur, mut next) = (ids[0], ids[1], ids[2]);
     for _ in 0..steps {
-        acc.fill_boundary(cur).unwrap();
-        for &t in &tiles {
-            acc.compute(
-                t,
-                &[next],
-                &[cur, prev],
-                kernels::wave::cost(t.num_cells()),
-                "wave",
-                move |ws, rs, bx| kernels::wave::step_tile(&mut ws[0], &rs[0], &rs[1], &bx, c2),
-            )
-            .unwrap();
-        }
+        cl.step(
+            next,
+            cur,
+            Some(prev),
+            kernels::wave::cost,
+            "wave",
+            move |w, r, p, bx| kernels::wave::step_tile(w, r, p.expect("prev level"), &bx, c2),
+        )
+        .unwrap();
         let old_prev = prev;
         prev = cur;
         cur = next;
         next = old_prev;
     }
     // Distributed max-abs reduction agrees with the dense field.
-    let max_dev = acc
+    let max_dev = cl
         .reduce(cur, "max-abs", 0.0, f64::abs, f64::max)
         .unwrap()
         .expect("backed");
-    acc.sync_to_host(cur).unwrap();
-    acc.finish();
+    cl.sync_to_host(cur).unwrap();
+    cl.finish();
 
     let golden = kernels::wave::golden_run(&f, n, steps, c2);
     let pos = ids.iter().position(|&i| i == cur).unwrap();
     assert_eq!(bufs[pos].to_dense().unwrap(), golden);
     let max_dense = golden.iter().fold(0f64, |m, &x| m.max(x.abs()));
     assert!((max_dev - max_dense).abs() < 1e-14);
-    assert!(acc.gpu().stats_bytes_p2p() > 0);
+    assert!(cl.bytes_p2p() > 0);
+    assert_eq!(cl.hazard_total(), 0);
 }

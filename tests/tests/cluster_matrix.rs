@@ -8,8 +8,9 @@
 //!   after the delivery op in stream order, so the final field is
 //!   bit-identical to the failure-free golden and nothing is silently
 //!   lost or reordered into wrong data;
-//! * **node death** — the step surfaces `NodeLost`, failover restores the
-//!   TACK snapshot and live-migrates the dead node's regions onto the
+//! * **node death** — the step (or the final drain) surfaces
+//!   `DeviceLost` for the node's only device, failover restores the TACK
+//!   snapshot and live-migrates the dead node's regions onto the
 //!   survivors, the replay is bit-identical to a failure-free run, and
 //!   the migration's restage traffic is accounted to the byte;
 //! * **determinism** — the same plan replays to identical results, stats
@@ -56,10 +57,11 @@ fn decomp() -> Arc<Decomposition> {
     ))
 }
 
-/// Drive `STEPS` heat steps on a `nodes`-node cluster under `plan`,
-/// riding out node losses with the checkpoint/failover protocol. Any
-/// error other than a node loss fails the run loudly — a faulted cluster
-/// must never return a wrong answer quietly.
+/// Drive `STEPS` heat steps and the final drain on a `nodes`-node
+/// cluster under `plan`, riding out node losses in either with the
+/// checkpoint/failover protocol. Any error other than a node loss fails
+/// the run loudly — a faulted cluster must never return a wrong answer
+/// quietly.
 fn run_cluster(nodes: usize, plan: FaultPlan, hazard_checking: bool) -> ClusterRun {
     let d = decomp();
     let ua = TileArray::new(d.clone(), 1, ExchangeMode::Faces, true);
@@ -73,13 +75,19 @@ fn run_cluster(nodes: usize, plan: FaultPlan, hazard_checking: bool) -> ClusterR
 
     let mut s = 0u64;
     let mut recoveries = 0u64;
-    while s < STEPS {
-        let (src, dst) = (ids[(s % 2) as usize], ids[((s + 1) % 2) as usize]);
-        match cl.step(dst, src, None, heat::cost, "heat", |d, s, _aux, bx| {
-            heat::step_tile(d, s, &bx, heat::DEFAULT_FAC)
-        }) {
+    loop {
+        let r = if s < STEPS {
+            let (src, dst) = (ids[(s % 2) as usize], ids[((s + 1) % 2) as usize]);
+            cl.step(dst, src, None, heat::cost, "heat", |d, s, _aux, bx| {
+                heat::step_tile(d, s, &bx, heat::DEFAULT_FAC)
+            })
+        } else {
+            cl.sync_to_host(ids[(s % 2) as usize])
+        };
+        match r {
+            Ok(()) if s == STEPS => break,
             Ok(()) => s += 1,
-            Err(ClusterError::NodeLost { .. }) | Err(ClusterError::Crashed { .. }) => {
+            Err(ClusterError::DeviceLost { .. }) | Err(ClusterError::Crashed { .. }) => {
                 recoveries += 1;
                 assert!(recoveries <= 8, "failover livelock");
                 s = cl.failover(&ck).expect("survivors remain");
@@ -87,7 +95,6 @@ fn run_cluster(nodes: usize, plan: FaultPlan, hazard_checking: bool) -> ClusterR
             Err(e) => panic!("cluster run must degrade gracefully, got {e}"),
         }
     }
-    cl.sync_to_host(ids[(s % 2) as usize]).expect("final drain");
     let elapsed = cl.finish();
     ClusterRun {
         result: if s.is_multiple_of(2) { &ua } else { &ub }

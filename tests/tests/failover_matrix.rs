@@ -1,12 +1,12 @@
 //! Failover-matrix integration suite: device-scoped failure modes in
-//! `gpu-sim` crossed with `MultiAcc` live region migration and the serving
-//! runtime's evacuation path.
+//! `gpu-sim` crossed with live region migration on a one-node, two-device
+//! `Cluster` and the serving runtime's evacuation path.
 //!
 //! The contract under test:
 //!
 //! * **transient / dead-lane × multi-device** — the existing fault matrix
 //!   (previously exercised only on the single-device `TileAcc`) holds for
-//!   `MultiAcc` cross-device ghost exchange: transients are retried to a
+//!   cross-device ghost exchange inside one node: transients are retried to a
 //!   golden result, a dead D2H lane is salvaged, a dead H2D lane surfaces
 //!   a typed error — never a panic or silent corruption;
 //! * **device death** — a device dying at *any* point of a checkpointed
@@ -21,12 +21,13 @@
 //! `FAULT_SEED_OFFSET` displaces the seed window the property tests
 //! explore, as in `fault_matrix.rs`.
 
-use gpu_sim::{DeviceDeath, FaultPlan, GpuSystem, MachineConfig, TransferFaults};
+use cluster::{Cluster, ClusterConfig, ClusterError};
+use gpu_sim::{DeviceDeath, FaultPlan, TransferFaults};
 use kernels::{heat, init};
 use proptest::prelude::*;
 use std::sync::Arc;
-use tida::{tiles_of, Decomposition, Domain, ExchangeMode, RegionSpec, TileArray, TileSpec};
-use tida_acc::{AccError, ArrayId, MultiAcc};
+use tida::{Decomposition, Domain, ExchangeMode, RegionSpec, TileArray};
+use tida_acc::ArrayId;
 
 const N: i64 = 8;
 
@@ -37,32 +38,41 @@ fn seed_offset() -> u64 {
         .unwrap_or(0)
 }
 
-fn setup(field_seed: u64, regions: usize) -> (Arc<Decomposition>, TileArray, TileArray) {
+fn setup(field_seed: u64, regions: usize) -> (TileArray, TileArray) {
     let decomp = Arc::new(Decomposition::new(
         Domain::periodic_cube(N),
         RegionSpec::Count(regions),
     ));
     let ua = TileArray::new(decomp.clone(), 1, ExchangeMode::Faces, true);
-    let ub = TileArray::new(decomp.clone(), 1, ExchangeMode::Faces, true);
+    let ub = TileArray::new(decomp, 1, ExchangeMode::Faces, true);
     ua.fill_valid(init::hash_field(field_seed));
-    (decomp, ua, ub)
+    (ua, ub)
+}
+
+/// One node with two devices under `plan`.
+fn two_devices(plan: FaultPlan) -> Cluster {
+    Cluster::new(ClusterConfig::new(1).devices_per_node(2).fault(plan))
+}
+
+fn heat_step(cl: &mut Cluster, dst: ArrayId, src: ArrayId) -> Result<(), ClusterError> {
+    cl.step(dst, src, None, heat::cost, "heat", |d, s, _aux, bx| {
+        heat::step_tile(d, s, &bx, heat::DEFAULT_FAC)
+    })
 }
 
 /// Checkpointed heat driver with device-loss failover: on
-/// [`AccError::DeviceLost`] the run migrates the lost device's regions
-/// onto the survivors, restores the latest snapshot, and replays.
-/// Identical in structure to the driver the `MultiAcc` unit tests use, so
-/// the golden comparison runs through the same schedule.
+/// [`ClusterError::DeviceLost`] the run migrates the lost device's
+/// regions onto the survivors, restores the latest snapshot, and replays.
+/// Identical in structure to the run loop of the cluster's multi-device
+/// unit tests, so the golden comparison runs through the same schedule.
 fn heat_drive_failover(
-    acc: &mut MultiAcc,
-    decomp: &Arc<Decomposition>,
+    cl: &mut Cluster,
     a: ArrayId,
     b: ArrayId,
     steps: usize,
     ck_interval: usize,
 ) -> ArrayId {
-    let tiles = tiles_of(decomp, TileSpec::RegionSized);
-    let mut ck = acc.checkpoint(0).unwrap();
+    let mut ck = cl.checkpoint(0).unwrap();
     let mut step = 0usize;
     while step < steps {
         let (src, dst) = if step.is_multiple_of(2) {
@@ -70,34 +80,20 @@ fn heat_drive_failover(
         } else {
             (b, a)
         };
-        let result: Result<(), AccError> = (|| {
-            acc.fill_boundary(src)?;
-            for &t in &tiles {
-                acc.compute2(
-                    t,
-                    dst,
-                    src,
-                    heat::cost(t.num_cells()),
-                    "heat",
-                    |d, s, bx| heat::step_tile(d, s, &bx, heat::DEFAULT_FAC),
-                )?;
-            }
-            Ok(())
-        })();
-        match result {
+        match heat_step(cl, dst, src) {
             Ok(()) => {}
-            Err(AccError::DeviceLost { .. }) => {
-                step = acc.failover(&ck).unwrap() as usize;
+            Err(ClusterError::DeviceLost { .. }) => {
+                step = cl.failover(&ck).unwrap() as usize;
                 continue;
             }
             Err(e) => panic!("unexpected error: {e}"),
         }
         step += 1;
         if step.is_multiple_of(ck_interval) || step == steps {
-            match acc.checkpoint(step as u64) {
+            match cl.checkpoint(step as u64) {
                 Ok(c) => ck = c,
-                Err(AccError::DeviceLost { .. }) => {
-                    step = acc.failover(&ck).unwrap() as usize;
+                Err(ClusterError::DeviceLost { .. }) => {
+                    step = cl.failover(&ck).unwrap() as usize;
                 }
                 Err(e) => panic!("unexpected error: {e}"),
             }
@@ -133,32 +129,28 @@ fn multiacc_ghost_exchange_absorbs_transient_faults() {
         d2h: transient(0.3),
         ..FaultPlan::none().with_seed(19 + seed_offset())
     };
-    let (decomp, ua, ub) = setup(51, 4);
-    let mut acc = MultiAcc::new(GpuSystem::multi(
-        MachineConfig::k40m().with_faults(plan),
-        2,
-        true,
-    ));
-    let a = acc.register(&ua);
-    let b = acc.register(&ub);
+    let (ua, ub) = setup(51, 4);
+    let mut cl = two_devices(plan);
+    let a = cl.register(&ua);
+    let b = cl.register(&ub);
     // ck_interval 2 keeps regions resident across a step boundary so the
     // cross-device ghost/P2P path is actually exercised between snapshots.
-    let last = heat_drive_failover(&mut acc, &decomp, a, b, 4, 2);
-    acc.finish();
+    let last = heat_drive_failover(&mut cl, a, b, 4, 2);
+    cl.finish();
     assert_eq!(
         dense_of(last, a, &ua, &ub),
         heat::golden_run(init::hash_field(51), N, 4, heat::DEFAULT_FAC),
         "retries must absorb transients across devices"
     );
     assert!(
-        acc.gpu().stats_bytes_p2p() > 0,
+        cl.bytes_p2p() > 0,
         "cross-device halos exercised the P2P path"
     );
-    let fs = acc.gpu().fault_stats();
+    let fs = cl.node(0).fault_stats();
     assert!(fs.h2d_faults + fs.d2h_faults > 0, "plan injected nothing");
-    assert!(acc.stats().transfer_retries > 0);
+    assert!(cl.stats().transfer_retries > 0);
     assert_eq!(fs.device_deaths, 0, "transients must not kill a device");
-    assert_eq!(acc.gpu().hazard_counters().total(), 0);
+    assert_eq!(cl.hazard_total(), 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -176,25 +168,21 @@ fn multiacc_dead_d2h_lane_salvages_cross_device_state() {
         },
         ..FaultPlan::none().with_seed(7)
     };
-    let (decomp, ua, ub) = setup(52, 4);
-    let mut acc = MultiAcc::new(GpuSystem::multi(
-        MachineConfig::k40m().with_faults(plan),
-        2,
-        true,
-    ));
-    let a = acc.register(&ua);
-    let b = acc.register(&ub);
-    let last = heat_drive_failover(&mut acc, &decomp, a, b, 2, 2);
-    acc.finish();
+    let (ua, ub) = setup(52, 4);
+    let mut cl = two_devices(plan);
+    let a = cl.register(&ua);
+    let b = cl.register(&ub);
+    let last = heat_drive_failover(&mut cl, a, b, 2, 2);
+    cl.finish();
     assert_eq!(
         dense_of(last, a, &ua, &ub),
         heat::golden_run(init::hash_field(52), N, 2, heat::DEFAULT_FAC),
         "salvage must rescue the computed bytes"
     );
-    let st = acc.stats();
+    let st = cl.stats();
     assert!(st.salvaged_regions > 0, "{st}");
     assert!(st.transfer_retries > 0, "retries precede giving up: {st}");
-    assert!(acc.gpu().fault_stats().salvages > 0);
+    assert!(cl.node(0).fault_stats().salvages > 0);
 }
 
 #[test]
@@ -208,31 +196,18 @@ fn multiacc_dead_h2d_lane_surfaces_typed_exhaustion() {
         },
         ..FaultPlan::none().with_seed(7)
     };
-    let (decomp, ua, ub) = setup(53, 4);
-    let mut acc = MultiAcc::new(GpuSystem::multi(
-        MachineConfig::k40m().with_faults(plan),
-        2,
-        true,
-    ));
-    let a = acc.register(&ua);
-    let b = acc.register(&ub);
-    let tiles = tiles_of(&decomp, TileSpec::RegionSized);
-    let err = (|| -> Result<(), AccError> {
-        acc.fill_boundary(a)?;
-        for &t in &tiles {
-            acc.compute2(t, b, a, heat::cost(t.num_cells()), "heat", |d, s, bx| {
-                heat::step_tile(d, s, &bx, heat::DEFAULT_FAC)
-            })?;
-        }
-        acc.sync_to_host(b)?;
-        Ok(())
-    })()
-    .expect_err("a dead H2D lane cannot produce a result");
+    let (ua, ub) = setup(53, 4);
+    let mut cl = two_devices(plan);
+    let a = cl.register(&ua);
+    let b = cl.register(&ub);
+    let err = heat_step(&mut cl, b, a)
+        .and_then(|()| cl.sync_to_host(b))
+        .expect_err("a dead H2D lane cannot produce a result");
     assert!(
-        matches!(err, AccError::TransferExhausted { .. }),
+        matches!(err, ClusterError::TransferExhausted { .. }),
         "typed exhaustion, got {err:?}"
     );
-    assert!(acc.stats().transfer_retries > 0);
+    assert!(cl.stats().transfer_retries > 0);
     let _ = ub; // result array never materialized — the error came first
 }
 
@@ -252,25 +227,24 @@ proptest! {
     ) {
         let field_seed = field_seed + seed_offset();
 
-        // Failure-free golden through the same checkpointed driver.
-        let (decomp, ua, ub) = setup(field_seed, 4);
-        let mut acc = MultiAcc::new(GpuSystem::multi(MachineConfig::k40m(), 2, true));
-        let a = acc.register(&ua);
-        let b = acc.register(&ub);
-        let last = heat_drive_failover(&mut acc, &decomp, a, b, steps, ck_interval);
-        acc.finish();
+        // Failure-free golden through the same checkpointed run loop.
+        let (ua, ub) = setup(field_seed, 4);
+        let mut cl = two_devices(FaultPlan::none());
+        let a = cl.register(&ua);
+        let b = cl.register(&ub);
+        let last = heat_drive_failover(&mut cl, a, b, steps, ck_interval);
+        cl.finish();
         let golden = dense_of(last, a, &ua, &ub);
 
         // Device 1 dies on its `ordinal`-th transfer — anywhere from the
         // first upload to deep inside the run.
-        let (decomp, ua, ub) = setup(field_seed, 4);
+        let (ua, ub) = setup(field_seed, 4);
         let plan = FaultPlan::none().with_device_death(DeviceDeath::at_transfer(1, ordinal));
-        let mut acc =
-            MultiAcc::new(GpuSystem::multi(MachineConfig::k40m().with_faults(plan), 2, true));
-        let a = acc.register(&ua);
-        let b = acc.register(&ub);
-        let last = heat_drive_failover(&mut acc, &decomp, a, b, steps, ck_interval);
-        acc.finish();
+        let mut cl = two_devices(plan);
+        let a = cl.register(&ua);
+        let b = cl.register(&ub);
+        let last = heat_drive_failover(&mut cl, a, b, steps, ck_interval);
+        cl.finish();
         prop_assert_eq!(
             dense_of(last, a, &ua, &ub),
             golden,
@@ -278,16 +252,16 @@ proptest! {
             ordinal, ck_interval, steps
         );
 
-        let st = acc.stats();
-        let fs = acc.gpu().fault_stats();
-        prop_assert_eq!(acc.gpu().hazard_counters().total(), 0);
+        let st = cl.stats();
+        let fs = cl.node(0).fault_stats();
+        prop_assert_eq!(cl.hazard_total(), 0);
         prop_assert_eq!(st.integrity_detected, 0, "no integrity findings");
         if fs.device_deaths > 0 {
             // The death fired: its regions moved to the survivor and the
             // re-stage traffic is accounted separately, one upload per
             // migrated region per registered array.
-            prop_assert_eq!(acc.owner(2), 0);
-            prop_assert_eq!(acc.owner(3), 0);
+            prop_assert_eq!(cl.owner(2), 0);
+            prop_assert_eq!(cl.owner(3), 0);
             prop_assert!(st.regions_migrated > 0);
             prop_assert_eq!(st.migration_restage_loads, st.regions_migrated * 2);
             prop_assert!(st.migration_restage_bytes > 0);

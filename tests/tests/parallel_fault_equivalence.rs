@@ -166,7 +166,7 @@ fn cluster_fingerprint(nodes: usize, plan: FaultPlan) -> String {
             heat::step_tile(d, s, &bx, heat::DEFAULT_FAC)
         }) {
             Ok(()) => s += 1,
-            Err(ClusterError::NodeLost { .. }) | Err(ClusterError::Crashed { .. }) => {
+            Err(ClusterError::DeviceLost { .. }) | Err(ClusterError::Crashed { .. }) => {
                 recoveries += 1;
                 assert!(recoveries <= 8, "failover livelock");
                 s = cl.failover(&ck).expect("survivors remain");

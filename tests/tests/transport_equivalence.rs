@@ -3,7 +3,7 @@
 //! the host-staged one (whole slabs out and back in) compute the same
 //! field, bit for bit, as each other and as the dense golden — across
 //! decompositions, exchange modes, node and device counts, transient
-//! transfer faults and node-death failover. Every run is hazard-free and
+//! transfer faults and device-death failover. Every run is hazard-free and
 //! its trace carries exactly the bytes its counters book.
 
 use cluster::{Cluster, ClusterConfig, ClusterError, Transport};
@@ -65,7 +65,7 @@ fn run(case: Case, transport: Transport) -> Run {
     let ids = [cl.register(&ua), cl.register(&ub)];
     let ck = cl.checkpoint(0).expect("pristine checkpoint");
 
-    // Steps, then the final drain; a node lost in either fails over and
+    // Steps, then the final drain; a device lost in either fails over and
     // replays from the snapshot.
     let mut s = 0u64;
     let mut recoveries = 0u64;
@@ -81,7 +81,7 @@ fn run(case: Case, transport: Transport) -> Run {
         match r {
             Ok(()) if s == STEPS => break,
             Ok(()) => s += 1,
-            Err(ClusterError::NodeLost { .. }) => {
+            Err(ClusterError::DeviceLost { .. }) => {
                 recoveries += 1;
                 assert!(recoveries <= 4, "failover livelock");
                 s = cl.failover(&ck).expect("survivors remain");
@@ -163,8 +163,8 @@ proptest! {
         death in prop_oneof![Just(None), (1u64..12).prop_map(Some)],
         seed in 0u64..10_000,
     ) {
-        // A node death needs a survivor to migrate onto.
-        let death_at = death.filter(|_| nodes >= 2);
+        // A device death needs a surviving device to migrate onto.
+        let death_at = death.filter(|_| nodes >= 2 || dpn >= 2);
         check(Case { spec, mode, nodes, dpn, transient, death_at, seed });
     }
 }
@@ -192,7 +192,8 @@ fn grid_shapes_with_edge_ghosts_match_in_every_mode() {
 }
 
 /// Transient H2D/D2H faults retry every kind of copy the plans issue, and
-/// a node death mid-run fails over and replays — under both transports.
+/// a device death mid-run fails over and replays — under both transports,
+/// across nodes and between the two devices of one node.
 #[test]
 fn faults_and_failover_keep_the_transports_equivalent() {
     for death_at in [None, Some(2), Some(5)] {
@@ -206,16 +207,18 @@ fn faults_and_failover_keep_the_transports_equivalent() {
             seed: 11,
         });
     }
-    let runs = check(Case {
-        spec: RegionSpec::Grid([2, 2, 2]),
-        mode: ExchangeMode::Full,
-        nodes: 3,
-        dpn: 2,
-        transient: 0.0,
-        death_at: Some(3),
-        seed: 3,
-    });
-    for r in runs {
-        assert!(r.recoveries >= 1, "the death must fire");
+    for (nodes, dpn) in [(3, 2), (1, 2)] {
+        let runs = check(Case {
+            spec: RegionSpec::Grid([2, 2, 2]),
+            mode: ExchangeMode::Full,
+            nodes,
+            dpn,
+            transient: 0.0,
+            death_at: Some(3),
+            seed: 3,
+        });
+        for r in runs {
+            assert!(r.recoveries >= 1, "the death must fire");
+        }
     }
 }
