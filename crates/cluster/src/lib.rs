@@ -43,7 +43,8 @@
 //! 3. **Send** — per wire patch, in deterministic patch-list order: the
 //!    send timestamp is the staging copy's completion time (probed with
 //!    [`GpuSystem::op_completion`], which never blocks the simulated
-//!    host), the payload is gathered from the source host slab, the
+//!    host), the payload is gathered from the source host slab into the
+//!    patch's send buffer (reused once its last delivery has run), the
 //!    [`NetworkModel`] prices the message (contention, drops, reorders,
 //!    flaps), and the destination node receives it as a NIC op
 //!    ([`GpuSystem::net_deliver`]) on the destination region's exchange
@@ -135,7 +136,9 @@ pub struct ClusterConfig {
     /// global index `node * devices_per_node + local`; link faults are
     /// evaluated by the network model only. Each node's derived plan gets
     /// a decorrelated seed (node 0 keeps the original, so a 1-node
-    /// cluster reproduces single-system fault schedules exactly).
+    /// cluster reproduces single-system fault schedules exactly). When
+    /// this is unset ([`FaultPlan::none`]), a plan carried by `machine`
+    /// takes its place; setting both is rejected by [`Cluster::new`].
     pub fault: FaultPlan,
     /// Whether slabs carry data (`false` = timing-only virtual run).
     pub backed: bool,
@@ -285,6 +288,17 @@ struct CArray {
     stage: Vec<Stage>,
 }
 
+/// One host buffer a wire patch's payload is snapshotted into at send
+/// time. The receiving node replays its delivery effect lazily, possibly
+/// steps later, so a buffer is reused only once the delivery that reads
+/// it has executed; a patch whose receiver lags gets another buffer.
+#[derive(Clone)]
+struct WireBuf {
+    slab: Slab,
+    /// The node and op of the last delivery reading `slab`.
+    delivery: Option<(usize, OpId)>,
+}
+
 /// The device buffers one peer patch travels through: packed on the
 /// source device, copied into the destination device, unpacked there.
 struct Stage {
@@ -313,6 +327,11 @@ pub struct Cluster {
     transport: Transport,
     /// Per-array exchange plan for the current owners (built with them).
     plans: Vec<Arc<ExchangePlan>>,
+    /// Send buffers of every distinct plan's wire patches, in plan order;
+    /// arrays sharing a plan share them through `wire_of`.
+    wire: Vec<Vec<Vec<WireBuf>>>,
+    /// Index into `wire` per array.
+    wire_of: Vec<usize>,
     retry: RetryPolicy,
     /// Per-device health scores (by global slot) fed by the transfer
     /// retry loops.
@@ -321,23 +340,36 @@ pub struct Cluster {
 }
 
 impl Cluster {
+    /// Build the cluster. The cluster-wide fault plan is
+    /// [`ClusterConfig::fault`], or the machine's plan when that is unset.
+    ///
+    /// # Panics
+    ///
+    /// If both [`ClusterConfig::fault`] and the machine carry a fault
+    /// plan: one of them would be silently dropped.
     pub fn new(cfg: ClusterConfig) -> Self {
         assert!(cfg.nodes >= 1, "a cluster needs at least one node");
+        let none = FaultPlan::none();
+        assert!(
+            cfg.fault == none || cfg.machine.faults == none,
+            "ClusterConfig carries two fault plans: set it with \
+             ClusterConfig::fault or on the machine, not both"
+        );
+        let fault = if cfg.fault == none {
+            &cfg.machine.faults
+        } else {
+            &cfg.fault
+        };
         let nodes: Vec<GpuSystem> = (0..cfg.nodes)
             .map(|n| {
                 let machine =
                     cfg.machine
                         .clone()
-                        .with_faults(node_plan(&cfg.fault, n, cfg.devices_per_node));
+                        .with_faults(node_plan(fault, n, cfg.devices_per_node));
                 GpuSystem::multi(machine, cfg.devices_per_node, cfg.backed)
             })
             .collect();
-        let net = NetworkModel::new(
-            cfg.nodes,
-            cfg.net,
-            cfg.fault.seed,
-            cfg.fault.link_faults.clone(),
-        );
+        let net = NetworkModel::new(cfg.nodes, cfg.net, fault.seed, fault.link_faults.clone());
         let health = HealthMonitor::with_defaults(cfg.nodes * cfg.devices_per_node);
         Cluster {
             nodes,
@@ -352,6 +384,8 @@ impl Cluster {
             initialized: false,
             transport: cfg.transport,
             plans: Vec::new(),
+            wire: Vec::new(),
+            wire_of: Vec::new(),
             retry: RetryPolicy::new(8, SimTime::from_us(20)),
             health,
             stats: AccStats::default(),
@@ -613,23 +647,30 @@ impl Cluster {
     /// Plan every array's exchange for the current owners and allocate
     /// the staging buffers of its peer patches. Arrays of one ghost width
     /// and exchange mode have the same patches and layouts, so they share
-    /// one plan; each keeps its own staging buffers.
+    /// one plan and its wire send buffers; each keeps its own peer staging
+    /// buffers. Pending deliveries hold their own handles on the old send
+    /// buffers, so dropping ours here is safe.
     fn build_plans(&mut self) -> Result<(), ClusterError> {
         let cfg = self.nodes[0].config();
         let shape = |a: &TileArray| (a.ghost(), a.exchange_mode());
         let mut plans: Vec<Arc<ExchangePlan>> = Vec::with_capacity(self.arrays.len());
+        self.wire.clear();
+        self.wire_of.clear();
         for (i, e) in self.arrays.iter().enumerate() {
             let same = (0..i).find(|&j| shape(&self.arrays[j].array) == shape(&e.array));
-            plans.push(match same {
-                Some(j) => Arc::clone(&plans[j]),
-                None => Arc::new(ExchangePlan::build(
-                    self.transport,
-                    &e.array,
-                    &self.owner,
-                    self.dpn,
-                    cfg,
-                )),
-            });
+            match same {
+                Some(j) => {
+                    plans.push(Arc::clone(&plans[j]));
+                    self.wire_of.push(self.wire_of[j]);
+                }
+                None => {
+                    let plan =
+                        ExchangePlan::build(self.transport, &e.array, &self.owner, self.dpn, cfg);
+                    self.wire_of.push(self.wire.len());
+                    self.wire.push(vec![Vec::new(); plan.wire.len()]);
+                    plans.push(Arc::new(plan));
+                }
+            }
         }
         self.plans = plans;
         for ai in 0..self.arrays.len() {
@@ -919,7 +960,7 @@ impl Cluster {
         // gather below reads fresh host data.
         let patches = self.arrays[src.0].array.patches_arc();
         let mut send_at: Vec<Option<SimTime>> = vec![None; regions];
-        for &i in &plan.wire {
+        for (w, &i) in plan.wire.iter().enumerate() {
             let p = &patches[i];
             let (sr, dr) = (p.src_region, p.dst_region);
             let src_node = self.node_of(sr);
@@ -936,18 +977,25 @@ impl Cluster {
                 .net
                 .transfer(src_node, dst_node, same_device, bytes, ready);
 
-            let sreg = self.arrays[src.0].array.region(sr);
-            let dreg = self.arrays[src.0].array.region(dr);
+            let arr = &self.arrays[src.0];
+            let sreg = arr.array.region(sr);
+            let dreg = arr.array.region(dr);
+            let pool = &mut self.wire[self.wire_of[src.0]][w];
             // Snapshot the payload at send time, packed by its own box: the
             // receiving scheduler replays effects in its own order, so the
             // scatter must not read the source slab lazily.
-            let scatter = (!sreg.slab.is_virtual()).then(|| {
+            let mut buf = None;
+            let scatter = if sreg.slab.is_virtual() {
+                None
+            } else {
                 let stage = Layout::new(p.dst_box);
-                let payload = Slab::real(stage.len());
+                let k = free_wire_buf(pool, &self.nodes, stage.len());
+                buf = Some(k);
+                let payload = pool[k].slab.clone();
                 let (nx, rows) = tida::patch_rows(stage, sreg.layout, p.dst_box, p.shift);
                 memslab::copy_rows(&payload, &sreg.slab, nx, rows);
-                (payload, stage, dreg.slab.clone(), dreg.layout, p.dst_box)
-            });
+                Some((payload, stage, dreg.slab.clone(), dreg.layout, p.dst_box))
+            };
             let host = self.arrays[src.0].host[dr];
             let effect = move || {
                 if let Some((payload, stage, dst_slab, dst_layout, dst_box)) = &scatter {
@@ -955,7 +1003,7 @@ impl Cluster {
                     memslab::copy_rows(dst_slab, payload, nx, rows);
                 }
             };
-            self.nodes[dst_node].net_deliver(
+            let op = self.nodes[dst_node].net_deliver(
                 self.xstream[dr],
                 host,
                 bytes,
@@ -963,6 +1011,9 @@ impl Cluster {
                 delivery.rx_time,
                 effect,
             );
+            if let Some(k) = buf {
+                self.wire[self.wire_of[src.0]][w][k].delivery = Some((dst_node, op));
+            }
         }
 
         // Phases 4 + 5: once a region's deliveries are in (stream order
@@ -1420,6 +1471,22 @@ impl Cluster {
     }
 }
 
+/// Index of a send buffer of `len` cells in `pool` that no pending
+/// delivery still reads, allocating one when every buffer is in use.
+fn free_wire_buf(pool: &mut Vec<WireBuf>, nodes: &[GpuSystem], len: usize) -> usize {
+    let free = pool.iter().position(|b| {
+        b.delivery
+            .is_none_or(|(node, op)| nodes[node].op_executed(op))
+    });
+    free.unwrap_or_else(|| {
+        pool.push(WireBuf {
+            slab: Slab::real(len),
+            delivery: None,
+        });
+        pool.len() - 1
+    })
+}
+
 /// The onion peel: the (at most six) face slabs making up
 /// `valid ∖ interior`, disjoint and covering. When the interior is empty
 /// the whole valid box is one "shell".
@@ -1682,6 +1749,38 @@ mod tests {
         for r in 0..4 {
             assert_eq!(cl.owner_node(r), 0);
         }
+    }
+
+    #[test]
+    fn wire_send_buffers_are_reused_behind_a_lagging_receiver() {
+        let steps = 6;
+        let golden = heat::golden_run(init, 8, steps, heat::DEFAULT_FAC);
+        // One region per node. Both arrays share one plan and so one set
+        // of send buffers per wire patch. Node 1's sends come first in
+        // patch order, so each step's sends into node 0 go out before
+        // anything makes node 0 replay the previous step's deliveries:
+        // the receiver lags one step behind.
+        let (_, a, b) = heat_arrays(8, 2, true);
+        let mut cl = Cluster::new(ClusterConfig::new(2));
+        let (mut src, mut dst) = (cl.register(&a), cl.register(&b));
+        for _ in 0..steps {
+            cl.step(dst, src, None, heat::cost, "heat", |d, s, _aux, bx| {
+                heat::step_tile(d, s, &bx, heat::DEFAULT_FAC)
+            })
+            .unwrap();
+            std::mem::swap(&mut src, &mut dst);
+        }
+        cl.sync_to_host(src).unwrap();
+        let out = if src.0 == 0 { &a } else { &b };
+        assert_eq!(out.to_dense().unwrap(), golden);
+        // A patch into the lagging node got a second buffer instead of
+        // having its pending payload overwritten; none needed a third, so
+        // every later step reused one.
+        assert_eq!(cl.wire.len(), 1, "both arrays share one plan");
+        let pools = &cl.wire[0];
+        assert!(!pools.is_empty());
+        assert!(pools.iter().any(|pool| pool.len() == 2));
+        assert!(pools.iter().all(|pool| (1..=2).contains(&pool.len())));
     }
 
     #[test]

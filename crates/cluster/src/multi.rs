@@ -250,6 +250,35 @@ mod tests {
     }
 
     #[test]
+    fn device_death_carried_by_the_machine_fires() {
+        // The plan rides on the machine, not on `ClusterConfig::fault`:
+        // it becomes the cluster-wide plan, so device 1 still dies.
+        let (ua, ub) = heat_arrays(8, 4, 77);
+        let plan = FaultPlan::none().with_device_death(DeviceDeath::at_transfer(1, 7));
+        let machine = gpu_sim::MachineConfig::k40m().with_faults(plan);
+        let mut cl = Cluster::new(ClusterConfig::new(1).devices_per_node(2).machine(machine));
+        let (a, b) = (cl.register(&ua), cl.register(&ub));
+        heat_drive_failover(&mut cl, a, b, 4, 2);
+        cl.finish();
+        assert_eq!(cl.node(0).fault_stats().device_deaths, 1);
+        assert_eq!(cl.owner(2), 0, "device 1's regions moved to device 0");
+        assert_eq!(cl.owner(3), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "two fault plans")]
+    fn fault_plans_on_both_config_and_machine_are_rejected() {
+        let death = FaultPlan::none().with_device_death(DeviceDeath::at_transfer(1, 7));
+        let machine = gpu_sim::MachineConfig::k40m().with_faults(death.clone());
+        Cluster::new(
+            ClusterConfig::new(1)
+                .devices_per_node(2)
+                .machine(machine)
+                .fault(death),
+        );
+    }
+
+    #[test]
     fn flapping_link_quarantines_then_readmits_without_oscillation() {
         // One down window on device 1's link early in the run: the retry
         // loop eats the faults (backoff outlasts the window), the health

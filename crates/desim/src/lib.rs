@@ -61,6 +61,109 @@ mod proptests {
         })
     }
 
+    /// One op of an incremental program: (engine or marker, duration,
+    /// not_before, deps as indices into all earlier ops, whether to run
+    /// the scheduler up to this op right after submitting it).
+    type IncOp = (Option<usize>, u64, u64, Vec<prop::sample::Index>, bool);
+
+    /// Programs submitted incrementally against multi-server engines:
+    /// ops are run as they go, so later ops depend on ops that executed
+    /// long before (their pending slots long since reused).
+    fn arb_incremental() -> impl Strategy<Value = (Vec<usize>, Vec<IncOp>, Vec<u64>)> {
+        (
+            proptest::collection::vec(1usize..4, 1..4),
+            proptest::collection::vec(
+                (
+                    proptest::option::of(0usize..3),
+                    0u64..60,
+                    0u64..400,
+                    proptest::collection::vec(any::<prop::sample::Index>(), 0..4),
+                    any::<bool>(),
+                ),
+                1..120,
+            ),
+            proptest::collection::vec(any::<u64>(), 1..16),
+        )
+    }
+
+    /// Oracle replaying a fixed list of raw picks, cycled, each taken
+    /// modulo the candidate count.
+    struct Picks {
+        raw: Vec<u64>,
+        next: usize,
+    }
+
+    impl ScheduleOracle for Picks {
+        fn choose(&mut self, candidates: &[Candidate<'_>]) -> usize {
+            let pick = self.raw[self.next % self.raw.len()];
+            self.next += 1;
+            (pick % candidates.len() as u64) as usize
+        }
+    }
+
+    /// Everything a run exposes about its schedule, per op and overall.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        times: Vec<(Option<SimTime>, Option<SimTime>)>,
+        critical: Vec<(OpId, Sym, SimTime, SimTime, Bound)>,
+        decision_points: u64,
+        makespan: SimTime,
+    }
+
+    fn run_incremental(
+        caps: &[usize],
+        prog: &[IncOp],
+        picks: &[u64],
+        level: TraceLevel,
+    ) -> (Observed, Scheduler, Vec<OpId>) {
+        use std::cell::RefCell;
+        use std::rc::Rc;
+        let mut s = Scheduler::new();
+        let engines: Vec<EngineId> = caps
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| s.add_engine(format!("e{i}"), c))
+            .collect();
+        s.set_trace_level(level);
+        s.set_oracle(Some(Rc::new(RefCell::new(Picks {
+            raw: picks.to_vec(),
+            next: 0,
+        }))));
+        let mut ids: Vec<OpId> = Vec::new();
+        for (i, (engine, d, nb, deps, run)) in prog.iter().enumerate() {
+            let op = match engine {
+                Some(e) => Op::on(engines[e % engines.len()], SimTime::from_ns(*d)),
+                None => Op::marker(),
+            };
+            let deps = deps.iter().filter(|_| i > 0).map(|ix| ids[ix.index(i)]);
+            let op = op
+                .not_before(SimTime::from_ns(*nb))
+                .after_all(deps)
+                .label(format!("op{}", i % 7))
+                .touches(i as u64 % 5, i % 3 == 0);
+            let id = s.submit(op);
+            ids.push(id);
+            if *run {
+                s.run_until(id);
+            }
+        }
+        let makespan = s.run_all();
+        let observed = Observed {
+            times: ids
+                .iter()
+                .map(|&i| (s.start_of(i), s.completion(i)))
+                .collect(),
+            critical: s
+                .critical_path()
+                .into_iter()
+                .map(|c| (c.op, c.label, c.start, c.end, c.bound))
+                .collect(),
+            decision_points: s.decision_points(),
+            makespan,
+        };
+        (observed, s, ids)
+    }
+
     proptest! {
         #[test]
         fn prop_schedule_invariants((nengines, prog) in arb_program()) {
@@ -115,6 +218,49 @@ mod proptests {
                 }
             }
             prop_assert!(matches!(path.last().unwrap().bound, Bound::Host));
+        }
+
+        /// Recycling pending-op state keeps the history exact: with
+        /// multi-server engines, deps on long-executed ops and random
+        /// oracle choices, every trace level reports the same schedule,
+        /// and the Full run's spans agree with it op by op.
+        #[test]
+        fn prop_trace_levels_agree_on_recycled_history(
+            (caps, prog, picks) in arb_incremental()
+        ) {
+            let (full, sched, ids) = run_incremental(&caps, &prog, &picks, TraceLevel::Full);
+            let (off, off_sched, _) = run_incremental(&caps, &prog, &picks, TraceLevel::Off);
+            let (counters, counters_sched, _) =
+                run_incremental(&caps, &prog, &picks, TraceLevel::Counters);
+            prop_assert_eq!(&off, &full);
+            prop_assert_eq!(&counters, &full);
+            prop_assert!(off_sched.engine_counters().iter().all(|c| *c == EngineCounters::default()));
+            prop_assert_eq!(counters_sched.engine_counters(), sched.engine_counters());
+            prop_assert_eq!(sched.executed(), ids.len());
+
+            // Every engine op left exactly one span, matching its record.
+            let spans = sched.raw_spans();
+            let engine_ops = prog.iter().filter(|(e, ..)| e.is_some()).count();
+            prop_assert_eq!(spans.len(), engine_ops);
+            let mut tally = vec![EngineCounters::default(); caps.len()];
+            for sp in spans {
+                let op = OpId(sp.seq as usize);
+                prop_assert_eq!(sched.start_of(op), Some(sp.start));
+                prop_assert_eq!(sched.completion(op), Some(sp.end));
+                prop_assert!((sp.server as usize) < caps[sp.engine as usize]);
+                tally[sp.engine as usize].ops += 1;
+                tally[sp.engine as usize].busy_ns += (sp.end - sp.start).as_ns();
+            }
+            prop_assert_eq!(&tally[..], sched.engine_counters());
+            // Dependencies, however old, still order their dependents.
+            for (i, (_, _, nb, deps, _)) in prog.iter().enumerate() {
+                let start = sched.start_of(ids[i]).unwrap();
+                prop_assert!(start >= SimTime::from_ns(*nb));
+                for ix in deps.iter().filter(|_| i > 0) {
+                    prop_assert!(sched.completion(ids[ix.index(i)]).unwrap() <= start);
+                }
+            }
+            prop_assert_eq!(full.critical.first().map(|c| c.3), Some(full.makespan));
         }
 
         /// The scheduler is deterministic: same program, same schedule.

@@ -35,7 +35,7 @@
 //!   per-op `String`;
 //! * dependency and footprint lists ride inline in the [`Op`] builder
 //!   (spilling to the heap only past 4 entries) and land in shared arenas
-//!   (`fp_arena`, the dependents edge list) instead of per-node `Vec`s;
+//!   (`fp_arena`, the dependents edge list) instead of per-op `Vec`s;
 //! * the ready queue is a binary heap keyed `(ready_ns, submission idx)`;
 //!   with no oracle installed a pop is O(log n) with no allocation, and the
 //!   oracle candidate view is built lazily only at real decision points
@@ -46,6 +46,22 @@
 //!   [`Trace`] is exported);
 //! * engine names are interned too, so building a scheduler allocates no
 //!   per-engine `String` either.
+//!
+//! # Op lifetime
+//!
+//! An op's state is split in two. Everything it needs to *run* — engine,
+//! duration, effect, remaining dependencies, ready time and binding
+//! dependency, host cause, footprint, and its dependents edges — lives in
+//! a pending *slot* and the arenas it points into. Slots and edges go back
+//! to free lists the moment the op executes and are reused by later
+//! submissions; the footprint arena is compacted once dead entries
+//! outnumber live ones. So they cost memory in proportion to the ops in
+//! flight, not to the ops ever run. What the op
+//! leaves behind is a fixed 32-byte record (start, end, packed
+//! [`Bound`], label, category), appended to page-sized chunks that never
+//! move: [`Scheduler::completion`], [`Scheduler::start_of`] and
+//! [`Scheduler::critical_path`] read only records, so they stay exact for
+//! every op ever submitted, at every [`TraceLevel`].
 
 use crate::intern::{intern_static, Sym};
 use crate::time::SimTime;
@@ -307,31 +323,136 @@ struct Server {
 const ENGINES_HINT: usize = 8;
 const OPS_HINT: usize = 32;
 
-/// Sentinel for "no edge" in the dependents edge arena.
+/// Footprint arena size below which it is never compacted.
+const FP_COMPACT_MIN: usize = 1024;
+
+/// Sentinel for "no entry" in the edge arena and the free lists.
 const NO_EDGE: u32 = u32::MAX;
 
-struct OpNode {
+/// Records per history page (64 KiB). Pages are allocated whole and never
+/// move, so the history grows by exactly one record per op.
+const PAGE: usize = 2048;
+
+/// What a submitted op needs until it executes. Slots are reused through
+/// an intrusive free list once their op has run.
+struct Slot {
+    /// The op occupying the slot.
+    op: usize,
     engine: Option<EngineId>,
     duration: SimTime,
-    label: Sym,
-    category: Sym,
     remaining_deps: u32,
-    /// Head of this op's dependents chain in [`Scheduler::dep_edges`].
+    /// Head of this op's dependents chain in [`Scheduler::edges`]; while
+    /// the slot is free, the next free slot.
     dependents_head: u32,
     /// max(not_before, ends of resolved deps so far).
     ready_time: SimTime,
     /// The dependency whose completion set `ready_time` (None when bound by
     /// `not_before`, i.e. the host).
     binding_dep: Option<usize>,
-    start: Option<SimTime>,
-    end: Option<SimTime>,
     effect: Option<Effect>,
     host_cause: Option<OpId>,
-    /// What delayed this op's start (filled at execution).
-    bound: Bound,
-    /// Footprint slice in [`Scheduler::fp_arena`].
+    /// Footprint slice in [`Scheduler::fp_arena`] (empty once executed).
     fp_start: u32,
     fp_len: u32,
+}
+
+/// Tag of a pending op in [`Record::state`]; executed ops carry a
+/// [`Bound`] tag (1..=4) instead.
+const PENDING: u64 = 0;
+const TAG_SHIFT: u32 = 61;
+const ID_MASK: u64 = (1 << TAG_SHIFT) - 1;
+
+/// What the scheduler keeps of every op it was ever given: 32 bytes.
+#[derive(Clone, Copy)]
+struct Record {
+    /// Start time in ns once executed; the op's slot index while pending.
+    start: u64,
+    /// End time in ns once executed.
+    end: u64,
+    /// The tag (top 3 bits: [`PENDING`] or a [`Bound`] variant) and the
+    /// bound's op index (low 61 bits).
+    state: u64,
+    label: Sym,
+    category: Sym,
+}
+
+const _: () = assert!(std::mem::size_of::<Record>() == 32);
+
+impl Record {
+    fn executed(&self) -> bool {
+        self.state >> TAG_SHIFT != PENDING
+    }
+
+    fn slot(&self) -> usize {
+        debug_assert!(!self.executed());
+        self.start as usize
+    }
+
+    fn bound(&self) -> Bound {
+        let id = OpId((self.state & ID_MASK) as usize);
+        match self.state >> TAG_SHIFT {
+            1 => Bound::Host,
+            2 => Bound::HostAfter(id),
+            3 => Bound::Dependency(id),
+            4 => Bound::Engine(id),
+            _ => unreachable!("pending op has no bound"),
+        }
+    }
+}
+
+fn pack_bound(b: Bound) -> u64 {
+    let (tag, OpId(id)) = match b {
+        Bound::Host => (1, OpId(0)),
+        Bound::HostAfter(d) => (2, d),
+        Bound::Dependency(d) => (3, d),
+        Bound::Engine(d) => (4, d),
+    };
+    (tag << TAG_SHIFT) | id as u64
+}
+
+/// Every op's [`Record`], in submission order, in fixed-size pages. The
+/// first page starts small and grows (a schedule explorer's programs fit
+/// in it); later pages are allocated whole, so appending never copies.
+#[derive(Default)]
+struct History {
+    first: Vec<Record>,
+    /// Pages past the first, `PAGE` records each.
+    more: Vec<Vec<Record>>,
+    len: usize,
+}
+
+impl History {
+    fn push(&mut self, r: Record) {
+        if self.len < PAGE {
+            self.first.push(r);
+        } else {
+            if self.len.is_multiple_of(PAGE) {
+                self.more.push(Vec::with_capacity(PAGE));
+            }
+            self.more.last_mut().expect("page pushed above").push(r);
+        }
+        self.len += 1;
+    }
+
+    fn get(&self, i: usize) -> &Record {
+        if i < PAGE {
+            &self.first[i]
+        } else {
+            &self.more[i / PAGE - 1][i % PAGE]
+        }
+    }
+
+    fn get_mut(&mut self, i: usize) -> &mut Record {
+        if i < PAGE {
+            &mut self.first[i]
+        } else {
+            &mut self.more[i / PAGE - 1][i % PAGE]
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &Record> {
+        self.first.iter().chain(self.more.iter().flatten())
+    }
 }
 
 /// Why an operation started when it did.
@@ -368,7 +489,12 @@ pub struct Scheduler {
     /// Server slots of every engine, in registration order.
     servers: Vec<Server>,
     engine_names: Vec<Sym>,
-    ops: Vec<OpNode>,
+    /// One record per submitted op, kept for the scheduler's lifetime.
+    history: History,
+    /// Pending ops' state, indexed by slot; freed slots chain from
+    /// `free_slot`.
+    slots: Vec<Slot>,
+    free_slot: u32,
     /// Ready ops as (ready_time_ns, op_index); min-heap via `Reverse`.
     ready: BinaryHeap<Reverse<(u64, usize)>>,
     executed: usize,
@@ -382,11 +508,17 @@ pub struct Scheduler {
     /// runnable (the branching points a [`ScheduleOracle`] would be
     /// consulted at), counted whether or not one is installed.
     decision_points: u64,
-    /// Footprint arena; op nodes hold (start, len) slices into it.
+    /// Footprints of pending ops; slots hold (start, len) slices into it.
     fp_arena: Vec<(u64, bool)>,
+    /// Entries of `fp_arena` that belong to pending ops.
+    fp_live: usize,
+    /// Spare buffer `fp_arena` is compacted into.
+    fp_spare: Vec<(u64, bool)>,
     /// Dependents adjacency as a linked edge arena:
-    /// `(dependent op, next edge)` chained from `OpNode::dependents_head`.
-    dep_edges: Vec<(u32, u32)>,
+    /// `(dependent slot, next edge)` chained from `Slot::dependents_head`.
+    /// An executed op's chain is spliced onto `free_edge` for reuse.
+    edges: Vec<(u32, u32)>,
+    free_edge: u32,
     /// Reused candidate buffer for oracle decision points. Always empty
     /// between decisions, so no borrow outlives one (see [`recycle`]).
     cand_scratch: Vec<Candidate<'static>>,
@@ -401,10 +533,16 @@ impl Scheduler {
             servers: Vec::with_capacity(ENGINES_HINT),
             engine_names: Vec::with_capacity(ENGINES_HINT),
             counters: Vec::with_capacity(ENGINES_HINT),
-            ops: Vec::with_capacity(OPS_HINT),
+            slots: Vec::with_capacity(OPS_HINT),
+            free_slot: NO_EDGE,
             ready: BinaryHeap::with_capacity(OPS_HINT),
+            history: History {
+                first: Vec::with_capacity(OPS_HINT),
+                ..History::default()
+            },
             fp_arena: Vec::with_capacity(OPS_HINT),
-            dep_edges: Vec::with_capacity(OPS_HINT),
+            edges: Vec::with_capacity(OPS_HINT),
+            free_edge: NO_EDGE,
             ..Self::default()
         }
     }
@@ -468,70 +606,110 @@ impl Scheduler {
 
     /// Submit an operation. Dependencies must refer to already-submitted ops.
     pub fn submit(&mut self, op: Op) -> OpId {
-        let id = self.ops.len();
+        let id = self.history.len;
         if let Some(EngineId(e)) = op.engine {
             assert!(e < self.engines.len(), "unknown engine {e}");
         }
+        let slot = match self.free_slot {
+            NO_EDGE => self.slots.len(),
+            free => free as usize,
+        };
         let mut ready_time = op.not_before;
         let mut binding_dep = None;
         let mut remaining = 0u32;
         for d in op.deps.iter() {
             assert!(d < id, "op {id} depends on not-yet-submitted op {d}");
-            match self.ops[d].end {
-                Some(end) => {
-                    if end > ready_time || (end == ready_time && binding_dep.is_none()) {
-                        ready_time = end;
-                        binding_dep = Some(d);
+            let rec = self.history.get(d);
+            if rec.executed() {
+                let end = SimTime::from_ns(rec.end);
+                if end > ready_time || (end == ready_time && binding_dep.is_none()) {
+                    ready_time = end;
+                    binding_dep = Some(d);
+                }
+            } else {
+                let ds = rec.slot();
+                let next = self.slots[ds].dependents_head;
+                let edge = match self.free_edge {
+                    NO_EDGE => {
+                        self.edges.push((slot as u32, next));
+                        self.edges.len() - 1
                     }
-                }
-                None => {
-                    self.dep_edges
-                        .push((id as u32, self.ops[d].dependents_head));
-                    self.ops[d].dependents_head = (self.dep_edges.len() - 1) as u32;
-                    remaining += 1;
-                }
+                    free => {
+                        self.free_edge = self.edges[free as usize].1;
+                        self.edges[free as usize] = (slot as u32, next);
+                        free as usize
+                    }
+                };
+                self.slots[ds].dependents_head = edge as u32;
+                remaining += 1;
             }
+        }
+        if self.fp_arena.len() >= FP_COMPACT_MIN && self.fp_arena.len() >= 2 * self.fp_live {
+            self.compact_footprints();
         }
         let fp_start = self.fp_arena.len() as u32;
         for f in op.footprint.iter() {
             self.fp_arena.push(f);
         }
         let fp_len = self.fp_arena.len() as u32 - fp_start;
-        self.ops.push(OpNode {
+        self.fp_live += fp_len as usize;
+        let marker = op.engine.is_none();
+        self.history.push(Record {
+            start: slot as u64,
+            end: 0,
+            state: PENDING,
+            label: op.label.unwrap_or_else(|| default_label(marker)),
+            category: op.category.unwrap_or_else(|| default_label(marker)),
+        });
+        let pending = Slot {
+            op: id,
             engine: op.engine,
             duration: op.duration,
-            label: op
-                .label
-                .unwrap_or_else(|| default_label(op.engine.is_none())),
-            category: op
-                .category
-                .unwrap_or_else(|| default_label(op.engine.is_none())),
             remaining_deps: remaining,
             dependents_head: NO_EDGE,
             ready_time,
             binding_dep,
-            start: None,
-            end: None,
             effect: op.effect,
             host_cause: op.host_cause,
-            bound: Bound::Host,
             fp_start,
             fp_len,
-        });
+        };
+        if slot == self.slots.len() {
+            self.slots.push(pending);
+        } else {
+            self.free_slot = self.slots[slot].dependents_head;
+            self.slots[slot] = pending;
+        }
         if remaining == 0 {
             self.ready.push(Reverse((ready_time.as_ns(), id)));
         }
         OpId(id)
     }
 
+    /// Move the footprints of pending ops to the front of a fresh arena,
+    /// dropping those of executed ops (the slots of executed ops have
+    /// empty slices).
+    fn compact_footprints(&mut self) {
+        let mut packed = std::mem::take(&mut self.fp_spare);
+        packed.clear();
+        for slot in &mut self.slots {
+            let (start, len) = (slot.fp_start as usize, slot.fp_len as usize);
+            slot.fp_start = packed.len() as u32;
+            packed.extend_from_slice(&self.fp_arena[start..start + len]);
+        }
+        self.fp_spare = std::mem::replace(&mut self.fp_arena, packed);
+    }
+
     /// Completion time, if the op has executed.
     pub fn completion(&self, OpId(id): OpId) -> Option<SimTime> {
-        self.ops[id].end
+        let rec = self.history.get(id);
+        rec.executed().then(|| SimTime::from_ns(rec.end))
     }
 
     /// Start time, if the op has executed.
     pub fn start_of(&self, OpId(id): OpId) -> Option<SimTime> {
-        self.ops[id].start
+        let rec = self.history.get(id);
+        rec.executed().then(|| SimTime::from_ns(rec.start))
     }
 
     /// Number of operations executed so far.
@@ -541,7 +719,7 @@ impl Scheduler {
 
     /// Number of operations submitted so far.
     pub fn submitted(&self) -> usize {
-        self.ops.len()
+        self.history.len
     }
 
     /// Latest completion time over all executed operations.
@@ -586,17 +764,18 @@ impl Scheduler {
         };
         // Real decision point: materialize the sorted candidate view.
         // Heap pops come out in exactly the (ready, submission) order the
-        // oracle contract promises. The view borrows ops/arena in place, and
+        // oracle contract promises. The view borrows slots in place, and
         // its buffer is reused across decisions.
         let mut view = recycle(std::mem::take(&mut self.cand_scratch));
         while let Some(Reverse((ns, i))) = self.ready.pop() {
-            let o = &self.ops[i];
+            let rec = self.history.get(i);
+            let o = &self.slots[rec.slot()];
             view.push(Candidate {
                 op: OpId(i),
                 ready: SimTime::from_ns(ns),
                 engine: o.engine,
-                label: o.label,
-                category: o.category,
+                label: rec.label,
+                category: rec.category,
                 footprint: &self.fp_arena[o.fp_start as usize..(o.fp_start + o.fp_len) as usize],
             });
         }
@@ -619,8 +798,17 @@ impl Scheduler {
         let Some(idx) = self.pop_next() else {
             return false;
         };
-        let (start, server) = match self.ops[idx].engine {
-            None => (self.ops[idx].ready_time, 0),
+        let s = self.history.get(idx).slot();
+        let Slot {
+            engine,
+            duration,
+            ready_time,
+            binding_dep,
+            host_cause,
+            ..
+        } = self.slots[s];
+        let (start, server) = match engine {
+            None => (ready_time, 0),
             Some(EngineId(e)) => {
                 let Engine { base, capacity } = self.engines[e];
                 let (srv, slot) = self.servers[base..base + capacity]
@@ -628,77 +816,88 @@ impl Scheduler {
                     .enumerate()
                     .min_by_key(|(i, s)| (s.free, *i))
                     .expect("engine has at least one server");
-                let start = self.ops[idx].ready_time.max(slot.free);
-                (start, srv)
+                (ready_time.max(slot.free), srv)
             }
         };
-        let end = start + self.ops[idx].duration;
+        let end = start + duration;
         // Attribute the delay: engine contention, a dependency, or the host.
-        self.ops[idx].bound = match self.ops[idx].engine {
-            Some(EngineId(e)) if start > self.ops[idx].ready_time => {
+        let bound = match engine {
+            Some(EngineId(e)) if start > ready_time => {
                 match self.servers[self.engines[e].base + server].last {
                     Some(prev) => Bound::Engine(OpId(prev)),
                     None => Bound::Host,
                 }
             }
-            _ => match self.ops[idx].binding_dep {
+            _ => match binding_dep {
                 Some(d) => Bound::Dependency(OpId(d)),
-                None => match self.ops[idx].host_cause {
+                None => match host_cause {
                     Some(c) => Bound::HostAfter(c),
                     None => Bound::Host,
                 },
             },
         };
-        if let Some(EngineId(e)) = self.ops[idx].engine {
+        let rec = self.history.get_mut(idx);
+        rec.start = start.as_ns();
+        rec.end = end.as_ns();
+        rec.state = pack_bound(bound);
+        let (label, category) = (rec.label, rec.category);
+        if let Some(EngineId(e)) = engine {
             self.servers[self.engines[e].base + server] = Server {
                 free: end,
                 last: Some(idx),
             };
             if self.level >= TraceLevel::Counters {
                 self.counters[e].ops += 1;
-                self.counters[e].busy_ns += self.ops[idx].duration.as_ns();
+                self.counters[e].busy_ns += duration.as_ns();
             }
             if self.level == TraceLevel::Full {
                 self.spans.push(RawSpan {
                     engine: e as u32,
                     server: server as u32,
-                    label: self.ops[idx].label,
-                    category: self.ops[idx].category,
+                    label,
+                    category,
                     start,
                     end,
                     seq: idx as u64,
                 });
             }
         }
-        self.ops[idx].start = Some(start);
-        self.ops[idx].end = Some(end);
         if end >= self.max_end {
             self.max_end = end;
             self.last_finished = Some(idx);
         }
         self.executed += 1;
 
-        if let Some(effect) = self.ops[idx].effect.take() {
+        // The op has run: its slot goes back on the free list.
+        let slot = &mut self.slots[s];
+        self.fp_live -= slot.fp_len as usize;
+        slot.fp_len = 0;
+        let effect = slot.effect.take();
+        let mut edge = slot.dependents_head;
+        slot.dependents_head = self.free_slot;
+        self.free_slot = s as u32;
+
+        if let Some(effect) = effect {
             effect();
         }
 
-        // Resolve dependents along the edge chain. Chain order is reverse
-        // submission order, which is irrelevant: each dependent's update is
-        // independent, and the ready heap orders by (ready, submission).
-        let mut edge = self.ops[idx].dependents_head;
-        self.ops[idx].dependents_head = NO_EDGE;
+        // Resolve dependents along the edge chain, returning each edge to
+        // the free list. Chain order is reverse submission order, which is
+        // irrelevant: each dependent's update is independent, and the ready
+        // heap orders by (ready, submission).
         while edge != NO_EDGE {
-            let (dep, next) = self.dep_edges[edge as usize];
-            let node = &mut self.ops[dep as usize];
+            let (dep, next) = self.edges[edge as usize];
+            let node = &mut self.slots[dep as usize];
             if end > node.ready_time || (end == node.ready_time && node.binding_dep.is_none()) {
                 node.ready_time = end;
                 node.binding_dep = Some(idx);
             }
             node.remaining_deps -= 1;
             if node.remaining_deps == 0 {
-                self.ready
-                    .push(Reverse((node.ready_time.as_ns(), dep as usize)));
+                self.ready.push(Reverse((node.ready_time.as_ns(), node.op)));
             }
+            self.edges[edge as usize].1 = self.free_edge;
+            self.free_edge = edge;
             edge = next;
         }
         true
@@ -712,24 +911,25 @@ impl Scheduler {
     /// Call after [`Scheduler::run_all`]. Empty if nothing executed.
     pub fn critical_path(&self) -> Vec<CriticalStep> {
         let mut cur = self
-            .ops
+            .history
             .iter()
             .enumerate()
-            .filter(|(_, o)| o.end.is_some())
-            .max_by_key(|(i, o)| (o.end.unwrap(), *i))
+            .filter(|(_, r)| r.executed())
+            .max_by_key(|(i, r)| (r.end, *i))
             .map(|(i, _)| i);
         let mut path = Vec::new();
         while let Some(i) = cur {
-            let o = &self.ops[i];
+            let r = self.history.get(i);
+            let bound = r.bound();
             path.push(CriticalStep {
                 op: OpId(i),
-                label: o.label,
-                category: o.category,
-                start: o.start.expect("on path"),
-                end: o.end.expect("on path"),
-                bound: o.bound,
+                label: r.label,
+                category: r.category,
+                start: SimTime::from_ns(r.start),
+                end: SimTime::from_ns(r.end),
+                bound,
             });
-            cur = match o.bound {
+            cur = match bound {
                 Bound::Host => None,
                 Bound::HostAfter(OpId(d)) | Bound::Dependency(OpId(d)) | Bound::Engine(OpId(d)) => {
                     Some(d)
@@ -744,18 +944,19 @@ impl Scheduler {
     /// Panics if `op` can never complete (which cannot happen for ops built
     /// from already-submitted dependencies).
     pub fn run_until(&mut self, op: OpId) -> SimTime {
-        while self.ops[op.0].end.is_none() {
+        loop {
+            if let Some(end) = self.completion(op) {
+                return end;
+            }
             assert!(self.step(), "deadlock: op {} not reachable", op.0);
         }
-        self.ops[op.0].end.expect("just completed")
     }
 
     /// Execute every submitted operation; returns the makespan.
     pub fn run_all(&mut self) -> SimTime {
         while self.step() {}
         assert_eq!(
-            self.executed,
-            self.ops.len(),
+            self.executed, self.history.len,
             "internal error: ops stranded with unresolved dependencies"
         );
         self.max_end
@@ -1215,6 +1416,41 @@ mod tests {
         s.submit(Op::on(e, ns(10)).label("rd").touches(7, false));
         s.submit(Op::on(e, ns(10)).touches(7, true).touches(9, false));
         s.run_all();
+    }
+
+    #[test]
+    fn footprints_survive_arena_compaction() {
+        // Candidates' footprints must stay their own across the footprint
+        // arena's compactions, long after the ops before them executed.
+        struct Check(u64);
+        impl ScheduleOracle for Check {
+            fn choose(&mut self, candidates: &[Candidate<'_>]) -> usize {
+                for c in candidates {
+                    let id = c.op.0 as u64;
+                    assert_eq!(c.footprint, &[(id, id.is_multiple_of(2)), (id + 1, false)]);
+                }
+                self.0 += 1;
+                (self.0 % 2) as usize
+            }
+        }
+        let mut s = Scheduler::new();
+        let e = s.add_engine("e", 1);
+        let check = Rc::new(RefCell::new(Check(0)));
+        s.set_oracle(Some(check.clone()));
+        let n = 4 * FP_COMPACT_MIN;
+        for i in 0..n as u64 {
+            let op = s.submit(
+                Op::on(e, ns(1))
+                    .touches(i, i.is_multiple_of(2))
+                    .touches(i + 1, false),
+            );
+            if i % 8 == 7 {
+                s.run_until(op);
+            }
+        }
+        s.run_all();
+        assert!(check.borrow().0 > 100, "{} decisions", check.borrow().0);
+        assert!(s.fp_arena.capacity() < n, "the arena was compacted");
     }
 
     #[test]

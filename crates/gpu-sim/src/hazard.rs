@@ -26,6 +26,17 @@
 //! list. [`crate::GpuSystem::note_evicted`] marks a device buffer whose
 //! slot was evicted; a later read without an intervening write is a
 //! stale-cache-list read even though no scheduler-level race exists.
+//!
+//! # Clock memory
+//!
+//! Every op's clock row stays joinable for the tracker's lifetime — a
+//! `stream_wait_op` may name any op ever issued — so rows are packed to
+//! `u32` stamps and stored in fixed-size chunks that never move. A row is
+//! dropped only when the host clock dominates it: every new op's clock
+//! starts from the host's, and the host clock only grows, so joining a
+//! dominated row (or treating it as all zeros) changes nothing. Rows are
+//! dropped a whole chunk at a time, once every row of the chunk and all
+//! rows before it are dominated.
 
 use crate::system::BufKey;
 use desim::{OpId, SimTime, Sym, Trace};
@@ -135,7 +146,7 @@ struct AccessInfo {
     /// Clock component the issuing stream owns.
     comp: usize,
     /// The issuing op's stamp in its own component.
-    stamp: u64,
+    stamp: u32,
     label: Sym,
     category: Sym,
 }
@@ -144,8 +155,117 @@ impl AccessInfo {
     /// Whether this access happens-before an op with clock `clock` (a
     /// component slice of `stride` length; components past the slice are
     /// implicitly zero).
-    fn ordered_before(&self, clock: &[u64]) -> bool {
+    fn ordered_before(&self, clock: &[u32]) -> bool {
         clock.get(self.comp).copied().unwrap_or(0) >= self.stamp
+    }
+}
+
+/// Rows per clock chunk.
+const CHUNK_ROWS: usize = 1024;
+
+/// Per-op vector clocks, one `stride`-long row per op id (scheduler ops
+/// are numbered sequentially), in chunks of [`CHUNK_ROWS`] rows. Ops
+/// submitted without an `observe_op` call leave all-zero rows, which join
+/// as no-ops — exactly "no edges known". Rows below `dropped` are gone:
+/// the host clock dominated them (see the module docs), so they read as
+/// zeros.
+struct ClockRows {
+    chunks: Vec<Vec<u32>>,
+    /// Components per row: max stream component seen + 1.
+    stride: usize,
+    /// Rows stored (dropped ones included): op ids below this have one.
+    rows: usize,
+    /// Leading rows the host clock is known to dominate.
+    dominated: usize,
+    /// Leading rows whose chunks were freed (a multiple of the chunk size).
+    dropped: usize,
+}
+
+impl ClockRows {
+    fn new() -> Self {
+        ClockRows {
+            chunks: Vec::new(),
+            stride: 1,
+            rows: 0,
+            dominated: 0,
+            dropped: 0,
+        }
+    }
+
+    /// Op `op`'s row, or `None` when it has none (never observed yet) or
+    /// it was dropped (dominated by the host clock).
+    fn row(&self, op: usize) -> Option<&[u32]> {
+        if op < self.dropped || op >= self.rows {
+            return None;
+        }
+        let at = (op % CHUNK_ROWS) * self.stride;
+        Some(&self.chunks[op / CHUNK_ROWS][at..at + self.stride])
+    }
+
+    /// Store `clock` as op `op`'s row. Ops are observed in submission
+    /// order; the ids skipped since the last row get all-zero rows.
+    fn push(&mut self, op: usize, clock: &[u32]) {
+        assert!(
+            op >= self.rows,
+            "op {op} observed after op {}: ops must be observed in submission order",
+            self.rows - 1
+        );
+        let stride = self.stride;
+        while self.rows <= op {
+            if self.rows.is_multiple_of(CHUNK_ROWS) {
+                // The first chunk grows with the program (small systems
+                // stay small); later ones are allocated whole.
+                let cap = if self.rows == 0 {
+                    0
+                } else {
+                    CHUNK_ROWS * stride
+                };
+                self.chunks.push(Vec::with_capacity(cap));
+            }
+            let chunk = self.chunks.last_mut().expect("chunk pushed above");
+            if self.rows == op {
+                chunk.extend_from_slice(clock);
+            } else {
+                chunk.resize(chunk.len() + stride, 0);
+            }
+            self.rows += 1;
+        }
+    }
+
+    /// Widen every stored row to `stride` components (zero-filled), when a
+    /// new stream appeared — setup-time only.
+    fn widen(&mut self, stride: usize) {
+        let old = self.stride;
+        for chunk in &mut self.chunks {
+            if chunk.is_empty() {
+                continue;
+            }
+            let rows = chunk.len() / old;
+            let mut wide = Vec::with_capacity(chunk.capacity() / old * stride);
+            for row in chunk.chunks_exact(old) {
+                wide.extend_from_slice(row);
+                wide.resize(wide.len() + stride - old, 0);
+            }
+            debug_assert_eq!(wide.len(), rows * stride);
+            *chunk = wide;
+        }
+        self.stride = stride;
+    }
+
+    /// The host clock grew to `host`: advance the dominated prefix and
+    /// free every chunk that lies wholly inside it.
+    fn release_dominated(&mut self, host: &[u32]) {
+        while self.dominated < self.rows {
+            let row = self.row(self.dominated).expect("stored, not dropped");
+            if row.iter().zip(host).any(|(r, h)| r > h) {
+                break;
+            }
+            self.dominated += 1;
+        }
+        while self.dropped + CHUNK_ROWS <= self.dominated {
+            self.chunks[self.dropped / CHUNK_ROWS] = Vec::new();
+            self.dropped += CHUNK_ROWS;
+        }
     }
 }
 
@@ -159,21 +279,14 @@ const TRANSFER_CATEGORIES: [&str; 6] = ["h2d", "d2h", "d2d", "p2p", "salvage", "
 /// every enqueue and host-synchronization point.
 pub(crate) struct HazardTracker {
     deep: bool,
-    /// Per-op vector clocks in one flat arena: op `i`'s clock is the
-    /// `stride`-long row at `i * stride` (scheduler ops are numbered
-    /// sequentially). Ops submitted without an `observe_op` call leave
-    /// all-zero rows, which join as no-ops — exactly "no edges known".
-    /// One arena beats per-op clock values: observing an op is a row copy
-    /// and a few row maxes, with no allocation and no pointer chasing.
-    clocks: Vec<u64>,
-    /// Components per clock row: max stream component seen + 1. Grows (and
-    /// re-strides the arena) when a new stream appears — setup-time only.
-    stride: usize,
+    /// Every op's vector clock. Observing an op is a row copy and a few row
+    /// maxes, with no allocation and no pointer chasing.
+    clocks: ClockRows,
     /// What the host has observed complete; joined into every new op
     /// (an enqueue happens-after everything the host synchronized on).
-    host: Vec<u64>,
+    host: Vec<u32>,
     /// Reusable row buffer for the op clock under construction.
-    scratch: Vec<u64>,
+    scratch: Vec<u32>,
     /// Per-buffer access state, dense-indexed by buffer kind and index —
     /// buffer ids are small sequential allocator indices, so a direct
     /// table beats hashing `BufKey`s on every access (several lookups per
@@ -215,8 +328,7 @@ impl HazardTracker {
         };
         HazardTracker {
             deep: false,
-            clocks: Vec::new(),
-            stride: 1,
+            clocks: ClockRows::new(),
             host: comps(),
             scratch: comps(),
             bufs: [Vec::new(), Vec::new(), Vec::new()],
@@ -227,22 +339,15 @@ impl HazardTracker {
     }
 
     /// Ensure clock rows are wide enough for component `comp`, re-striding
-    /// the arena in place if a new stream appeared (setup-time rarity).
+    /// the rows if a new stream appeared (setup-time rarity).
     fn ensure_comp(&mut self, comp: usize) {
-        if comp < self.stride {
+        if comp < self.clocks.stride {
             return;
         }
-        let old = self.stride;
         let new = comp + 1;
-        let rows = self.clocks.len() / old;
-        let mut widened = vec![0u64; rows * new];
-        for r in 0..rows {
-            widened[r * new..r * new + old].copy_from_slice(&self.clocks[r * old..(r + 1) * old]);
-        }
-        self.clocks = widened;
+        self.clocks.widen(new);
         self.host.resize(new, 0);
         self.scratch.resize(new, 0);
-        self.stride = new;
     }
 
     pub(crate) fn set_deep(&mut self, on: bool) {
@@ -274,18 +379,18 @@ impl HazardTracker {
     ) {
         let (label, category) = (label.into(), category.into());
         self.ensure_comp(comp);
-        let stride = self.stride;
         let mut clock = std::mem::take(&mut self.scratch);
         clock.copy_from_slice(&self.host);
         for d in deps {
-            let row = d.0 * stride;
-            if row + stride <= self.clocks.len() {
-                for (c, &v) in clock.iter_mut().zip(&self.clocks[row..row + stride]) {
+            if let Some(row) = self.clocks.row(d.0) {
+                for (c, &v) in clock.iter_mut().zip(row) {
                     *c = (*c).max(v);
                 }
             }
         }
-        clock[comp] += 1;
+        clock[comp] = clock[comp]
+            .checked_add(1)
+            .expect("hazard clock: more than u32::MAX ops on one stream");
         let stamp = clock[comp];
         for &(key, dir) in accesses {
             let info = AccessInfo {
@@ -300,22 +405,18 @@ impl HazardTracker {
                 Dir::Write => self.check_write(key, info, &clock, now),
             }
         }
-        if self.clocks.len() < (op.0 + 1) * stride {
-            self.clocks.resize((op.0 + 1) * stride, 0);
-        }
-        self.clocks[op.0 * stride..(op.0 + 1) * stride].copy_from_slice(&clock);
+        self.clocks.push(op.0, &clock);
         self.scratch = clock;
     }
 
     /// The host blocked until `op` completed: join its clock into the
     /// host's, ordering every later enqueue after it.
     pub(crate) fn host_joins(&mut self, op: OpId) {
-        let stride = self.stride;
-        let row = op.0 * stride;
-        if row + stride <= self.clocks.len() {
-            for (h, &v) in self.host.iter_mut().zip(&self.clocks[row..row + stride]) {
+        if let Some(row) = self.clocks.row(op.0) {
+            for (h, &v) in self.host.iter_mut().zip(row) {
                 *h = (*h).max(v);
             }
+            self.clocks.release_dominated(&self.host);
         }
     }
 
@@ -336,7 +437,7 @@ impl HazardTracker {
         &mut table[i]
     }
 
-    fn check_read(&mut self, key: BufKey, info: AccessInfo, clock: &[u64], now: SimTime) {
+    fn check_read(&mut self, key: BufKey, info: AccessInfo, clock: &[u32], now: SimTime) {
         let s = self.buf_state(key);
         let evicted = s.evicted;
         let writer = s.writer;
@@ -372,7 +473,7 @@ impl HazardTracker {
         }
     }
 
-    fn check_write(&mut self, key: BufKey, info: AccessInfo, clock: &[u64], now: SimTime) {
+    fn check_write(&mut self, key: BufKey, info: AccessInfo, clock: &[u32], now: SimTime) {
         let s = self.buf_state(key);
         let prev = s.writer;
         // Take the reader list out so conflicts can be reported while
@@ -835,6 +936,65 @@ mod tests {
             !t.counters().any(),
             "the later event covers the whole stream"
         );
+    }
+
+    #[test]
+    fn dominated_rows_are_dropped_without_losing_edges() {
+        let n = 3 * CHUNK_ROWS;
+        let ids = mint(n + 3);
+        let (buf_a, buf_b) = (BufKey::Device(0), BufKey::Device(1));
+        let mut t = HazardTracker::new();
+        // One stream-ordered chain: the first op writes A, the last B.
+        for i in 0..n {
+            let access: &[(BufKey, Dir)] = match i {
+                0 => &[(buf_a, Dir::Write)],
+                i if i == n - 1 => &[(buf_b, Dir::Write)],
+                _ => &[],
+            };
+            let deps: &[OpId] = if i == 0 { &[] } else { &ids[i - 1..i] };
+            t.observe_op(ids[i], 1, deps, "k", "kernel", access, SimTime::ZERO);
+        }
+        // The host waits for the middle of the chain: every row up to it
+        // is dominated, and the chunks wholly below it are freed.
+        t.host_joins(ids[n / 2]);
+        assert_eq!(t.clocks.dominated, n / 2 + 1);
+        assert_eq!(t.clocks.dropped, CHUNK_ROWS);
+        assert!(t.clocks.row(ids[0].0).is_none());
+        assert!(t.clocks.row(ids[n - 1].0).is_some());
+        // A wait on a dropped op is still an edge (through the host) ...
+        t.observe_op(
+            ids[n],
+            2,
+            &ids[..1],
+            "k",
+            "kernel",
+            &[(buf_a, Dir::Read)],
+            SimTime::ZERO,
+        );
+        assert!(!t.counters().any());
+        // ... a wait on a live old row still orders its reader ...
+        t.observe_op(
+            ids[n + 1],
+            3,
+            &ids[n - 1..n],
+            "k",
+            "kernel",
+            &[(buf_b, Dir::Read)],
+            SimTime::ZERO,
+        );
+        assert!(!t.counters().any());
+        // ... and the same read without it still races.
+        t.observe_op(
+            ids[n + 2],
+            4,
+            &[],
+            "k",
+            "kernel",
+            &[(buf_b, Dir::Read)],
+            SimTime::ZERO,
+        );
+        assert_eq!(t.counters().read_write_race, 1);
+        assert_eq!(t.counters().total(), 1);
     }
 
     #[test]
