@@ -286,17 +286,10 @@ struct CArray {
     dirty: Vec<bool>,
     /// Staging buffers of the array plan's peer patches, in plan order.
     stage: Vec<Stage>,
-}
-
-/// One host buffer a wire patch's payload is snapshotted into at send
-/// time. The receiving node replays its delivery effect lazily, possibly
-/// steps later, so a buffer is reused only once the delivery that reads
-/// it has executed; a patch whose receiver lags gets another buffer.
-#[derive(Clone)]
-struct WireBuf {
-    slab: Slab,
-    /// The node and op of the last delivery reading `slab`.
-    delivery: Option<(usize, OpId)>,
+    /// Send buffers of the array plan's wire patches, in plan order: the
+    /// host slabs a payload is snapshotted into at send time (see
+    /// [`send_buf`]).
+    send: Vec<Vec<Slab>>,
 }
 
 /// The device buffers one peer patch travels through: packed on the
@@ -327,11 +320,6 @@ pub struct Cluster {
     transport: Transport,
     /// Per-array exchange plan for the current owners (built with them).
     plans: Vec<Arc<ExchangePlan>>,
-    /// Send buffers of every distinct plan's wire patches, in plan order;
-    /// arrays sharing a plan share them through `wire_of`.
-    wire: Vec<Vec<Vec<WireBuf>>>,
-    /// Index into `wire` per array.
-    wire_of: Vec<usize>,
     retry: RetryPolicy,
     /// Per-device health scores (by global slot) fed by the transfer
     /// retry loops.
@@ -384,8 +372,6 @@ impl Cluster {
             initialized: false,
             transport: cfg.transport,
             plans: Vec::new(),
-            wire: Vec::new(),
-            wire_of: Vec::new(),
             retry: RetryPolicy::new(8, SimTime::from_us(20)),
             health,
             stats: AccStats::default(),
@@ -415,6 +401,7 @@ impl Cluster {
             resident: Vec::new(),
             dirty: Vec::new(),
             stage: Vec::new(),
+            send: Vec::new(),
         });
         ArrayId(self.arrays.len() - 1)
     }
@@ -647,30 +634,25 @@ impl Cluster {
     /// Plan every array's exchange for the current owners and allocate
     /// the staging buffers of its peer patches. Arrays of one ghost width
     /// and exchange mode have the same patches and layouts, so they share
-    /// one plan and its wire send buffers; each keeps its own peer staging
-    /// buffers. Pending deliveries hold their own handles on the old send
-    /// buffers, so dropping ours here is safe.
+    /// one plan; each keeps its own staging and send buffers. Pending
+    /// deliveries hold their own handles on the old send buffers, so
+    /// dropping ours here is safe.
     fn build_plans(&mut self) -> Result<(), ClusterError> {
         let cfg = self.nodes[0].config();
         let shape = |a: &TileArray| (a.ghost(), a.exchange_mode());
         let mut plans: Vec<Arc<ExchangePlan>> = Vec::with_capacity(self.arrays.len());
-        self.wire.clear();
-        self.wire_of.clear();
         for (i, e) in self.arrays.iter().enumerate() {
             let same = (0..i).find(|&j| shape(&self.arrays[j].array) == shape(&e.array));
-            match same {
-                Some(j) => {
-                    plans.push(Arc::clone(&plans[j]));
-                    self.wire_of.push(self.wire_of[j]);
-                }
-                None => {
-                    let plan =
-                        ExchangePlan::build(self.transport, &e.array, &self.owner, self.dpn, cfg);
-                    self.wire_of.push(self.wire.len());
-                    self.wire.push(vec![Vec::new(); plan.wire.len()]);
-                    plans.push(Arc::new(plan));
-                }
-            }
+            plans.push(match same {
+                Some(j) => Arc::clone(&plans[j]),
+                None => Arc::new(ExchangePlan::build(
+                    self.transport,
+                    &e.array,
+                    &self.owner,
+                    self.dpn,
+                    cfg,
+                )),
+            });
         }
         self.plans = plans;
         for ai in 0..self.arrays.len() {
@@ -682,6 +664,7 @@ impl Cluster {
                 Arc::clone(&self.plans[ai]),
                 self.arrays[ai].array.patches_arc(),
             );
+            self.arrays[ai].send = vec![Vec::new(); plan.wire.len()];
             for &i in &plan.peers {
                 let p = &patches[i];
                 let cells = p.num_cells() as usize;
@@ -977,25 +960,19 @@ impl Cluster {
                 .net
                 .transfer(src_node, dst_node, same_device, bytes, ready);
 
-            let arr = &self.arrays[src.0];
+            let arr = &mut self.arrays[src.0];
             let sreg = arr.array.region(sr);
             let dreg = arr.array.region(dr);
-            let pool = &mut self.wire[self.wire_of[src.0]][w];
             // Snapshot the payload at send time, packed by its own box: the
             // receiving scheduler replays effects in its own order, so the
             // scatter must not read the source slab lazily.
-            let mut buf = None;
-            let scatter = if sreg.slab.is_virtual() {
-                None
-            } else {
+            let scatter = (!sreg.slab.is_virtual()).then(|| {
                 let stage = Layout::new(p.dst_box);
-                let k = free_wire_buf(pool, &self.nodes, stage.len());
-                buf = Some(k);
-                let payload = pool[k].slab.clone();
+                let payload = send_buf(&mut arr.send[w], stage.len());
                 let (nx, rows) = tida::patch_rows(stage, sreg.layout, p.dst_box, p.shift);
                 memslab::copy_rows(&payload, &sreg.slab, nx, rows);
-                Some((payload, stage, dreg.slab.clone(), dreg.layout, p.dst_box))
-            };
+                (payload, stage, dreg.slab.clone(), dreg.layout, p.dst_box)
+            });
             let host = self.arrays[src.0].host[dr];
             let effect = move || {
                 if let Some((payload, stage, dst_slab, dst_layout, dst_box)) = &scatter {
@@ -1003,7 +980,7 @@ impl Cluster {
                     memslab::copy_rows(dst_slab, payload, nx, rows);
                 }
             };
-            let op = self.nodes[dst_node].net_deliver(
+            self.nodes[dst_node].net_deliver(
                 self.xstream[dr],
                 host,
                 bytes,
@@ -1011,9 +988,6 @@ impl Cluster {
                 delivery.rx_time,
                 effect,
             );
-            if let Some(k) = buf {
-                self.wire[self.wire_of[src.0]][w][k].delivery = Some((dst_node, op));
-            }
         }
 
         // Phases 4 + 5: once a region's deliveries are in (stream order
@@ -1471,20 +1445,18 @@ impl Cluster {
     }
 }
 
-/// Index of a send buffer of `len` cells in `pool` that no pending
-/// delivery still reads, allocating one when every buffer is in use.
-fn free_wire_buf(pool: &mut Vec<WireBuf>, nodes: &[GpuSystem], len: usize) -> usize {
-    let free = pool.iter().position(|b| {
-        b.delivery
-            .is_none_or(|(node, op)| nodes[node].op_executed(op))
-    });
-    free.unwrap_or_else(|| {
-        pool.push(WireBuf {
-            slab: Slab::real(len),
-            delivery: None,
-        });
-        pool.len() - 1
-    })
+/// A send buffer of `len` cells from `pool` that no pending delivery
+/// still reads, allocating one when every buffer is in use. The receiving
+/// node replays a delivery effect lazily, possibly steps later; the
+/// effect holds a handle on its payload until it has run, so a buffer
+/// the pool alone holds is free.
+fn send_buf(pool: &mut Vec<Slab>, len: usize) -> Slab {
+    if let Some(free) = pool.iter().find(|b| b.handles() == 1) {
+        return free.clone();
+    }
+    let buf = Slab::real(len);
+    pool.push(buf.clone());
+    buf
 }
 
 /// The onion peel: the (at most six) face slabs making up
@@ -1752,35 +1724,51 @@ mod tests {
     }
 
     #[test]
-    fn wire_send_buffers_are_reused_behind_a_lagging_receiver() {
+    fn send_buffers_are_reused_behind_a_lagging_receiver() {
         let steps = 6;
         let golden = heat::golden_run(init, 8, steps, heat::DEFAULT_FAC);
-        // One region per node. Both arrays share one plan and so one set
-        // of send buffers per wire patch. Node 1's sends come first in
-        // patch order, so each step's sends into node 0 go out before
-        // anything makes node 0 replay the previous step's deliveries:
-        // the receiver lags one step behind.
+        // One region per node. Node 1's sends come first in patch order,
+        // so each step's sends into node 0 go out before anything makes
+        // node 0 replay the previous step's deliveries: the receiver lags
+        // one step behind, and a step returns with deliveries still
+        // holding their payloads.
         let (_, a, b) = heat_arrays(8, 2, true);
         let mut cl = Cluster::new(ClusterConfig::new(2));
         let (mut src, mut dst) = (cl.register(&a), cl.register(&b));
+        let mut lagged = false;
         for _ in 0..steps {
             cl.step(dst, src, None, heat::cost, "heat", |d, s, _aux, bx| {
                 heat::step_tile(d, s, &bx, heat::DEFAULT_FAC)
             })
             .unwrap();
+            let pools = &cl.arrays[src.0].send;
+            lagged |= pools.iter().flatten().any(|buf| buf.handles() > 1);
             std::mem::swap(&mut src, &mut dst);
         }
+        assert!(lagged, "no delivery was pending when its step returned");
         cl.sync_to_host(src).unwrap();
         let out = if src.0 == 0 { &a } else { &b };
         assert_eq!(out.to_dense().unwrap(), golden);
-        // A patch into the lagging node got a second buffer instead of
-        // having its pending payload overwritten; none needed a third, so
-        // every later step reused one.
-        assert_eq!(cl.wire.len(), 1, "both arrays share one plan");
-        let pools = &cl.wire[0];
-        assert!(!pools.is_empty());
-        assert!(pools.iter().any(|pool| pool.len() == 2));
-        assert!(pools.iter().all(|pool| (1..=2).contains(&pool.len())));
+        // Every wire patch reused one buffer on every later send.
+        for e in &cl.arrays {
+            assert!(!e.send.is_empty());
+            assert!(e.send.iter().all(|pool| pool.len() == 1));
+        }
+    }
+
+    #[test]
+    fn a_send_buffer_is_reused_only_once_no_delivery_holds_it() {
+        let mut pool = Vec::new();
+        let first = send_buf(&mut pool, 4);
+        // A pending delivery still holds `first`: the next send gets
+        // another buffer.
+        let second = send_buf(&mut pool, 4);
+        assert!(!second.same_storage(&first));
+        // Both deliveries ran and let go: the first buffer comes back.
+        drop((first, second));
+        let third = send_buf(&mut pool, 4);
+        assert!(third.same_storage(&pool[0]));
+        assert_eq!(pool.len(), 2);
     }
 
     #[test]

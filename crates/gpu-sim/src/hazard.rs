@@ -31,12 +31,8 @@
 //!
 //! Every op's clock row stays joinable for the tracker's lifetime — a
 //! `stream_wait_op` may name any op ever issued — so rows are packed to
-//! `u32` stamps and stored in fixed-size chunks that never move. A row is
-//! dropped only when the host clock dominates it: every new op's clock
-//! starts from the host's, and the host clock only grows, so joining a
-//! dominated row (or treating it as all zeros) changes nothing. Rows are
-//! dropped a whole chunk at a time, once every row of the chunk and all
-//! rows before it are dominated.
+//! `u32` stamps and stored in fixed-size chunks that never move: the row
+//! store grows by whole chunks and never copies what it already holds.
 
 use crate::system::BufKey;
 use desim::{OpId, SimTime, Sym, Trace};
@@ -166,19 +162,13 @@ const CHUNK_ROWS: usize = 1024;
 /// Per-op vector clocks, one `stride`-long row per op id (scheduler ops
 /// are numbered sequentially), in chunks of [`CHUNK_ROWS`] rows. Ops
 /// submitted without an `observe_op` call leave all-zero rows, which join
-/// as no-ops — exactly "no edges known". Rows below `dropped` are gone:
-/// the host clock dominated them (see the module docs), so they read as
-/// zeros.
+/// as no-ops — exactly "no edges known".
 struct ClockRows {
     chunks: Vec<Vec<u32>>,
     /// Components per row: max stream component seen + 1.
     stride: usize,
-    /// Rows stored (dropped ones included): op ids below this have one.
+    /// Rows stored: op ids below this have one.
     rows: usize,
-    /// Leading rows the host clock is known to dominate.
-    dominated: usize,
-    /// Leading rows whose chunks were freed (a multiple of the chunk size).
-    dropped: usize,
 }
 
 impl ClockRows {
@@ -187,15 +177,12 @@ impl ClockRows {
             chunks: Vec::new(),
             stride: 1,
             rows: 0,
-            dominated: 0,
-            dropped: 0,
         }
     }
 
-    /// Op `op`'s row, or `None` when it has none (never observed yet) or
-    /// it was dropped (dominated by the host clock).
+    /// Op `op`'s row, or `None` when it has none (never observed yet).
     fn row(&self, op: usize) -> Option<&[u32]> {
-        if op < self.dropped || op >= self.rows {
+        if op >= self.rows {
             return None;
         }
         let at = (op % CHUNK_ROWS) * self.stride;
@@ -237,9 +224,6 @@ impl ClockRows {
     fn widen(&mut self, stride: usize) {
         let old = self.stride;
         for chunk in &mut self.chunks {
-            if chunk.is_empty() {
-                continue;
-            }
             let rows = chunk.len() / old;
             let mut wide = Vec::with_capacity(chunk.capacity() / old * stride);
             for row in chunk.chunks_exact(old) {
@@ -250,22 +234,6 @@ impl ClockRows {
             *chunk = wide;
         }
         self.stride = stride;
-    }
-
-    /// The host clock grew to `host`: advance the dominated prefix and
-    /// free every chunk that lies wholly inside it.
-    fn release_dominated(&mut self, host: &[u32]) {
-        while self.dominated < self.rows {
-            let row = self.row(self.dominated).expect("stored, not dropped");
-            if row.iter().zip(host).any(|(r, h)| r > h) {
-                break;
-            }
-            self.dominated += 1;
-        }
-        while self.dropped + CHUNK_ROWS <= self.dominated {
-            self.chunks[self.dropped / CHUNK_ROWS] = Vec::new();
-            self.dropped += CHUNK_ROWS;
-        }
     }
 }
 
@@ -416,7 +384,6 @@ impl HazardTracker {
             for (h, &v) in self.host.iter_mut().zip(row) {
                 *h = (*h).max(v);
             }
-            self.clocks.release_dominated(&self.host);
         }
     }
 
@@ -936,65 +903,6 @@ mod tests {
             !t.counters().any(),
             "the later event covers the whole stream"
         );
-    }
-
-    #[test]
-    fn dominated_rows_are_dropped_without_losing_edges() {
-        let n = 3 * CHUNK_ROWS;
-        let ids = mint(n + 3);
-        let (buf_a, buf_b) = (BufKey::Device(0), BufKey::Device(1));
-        let mut t = HazardTracker::new();
-        // One stream-ordered chain: the first op writes A, the last B.
-        for i in 0..n {
-            let access: &[(BufKey, Dir)] = match i {
-                0 => &[(buf_a, Dir::Write)],
-                i if i == n - 1 => &[(buf_b, Dir::Write)],
-                _ => &[],
-            };
-            let deps: &[OpId] = if i == 0 { &[] } else { &ids[i - 1..i] };
-            t.observe_op(ids[i], 1, deps, "k", "kernel", access, SimTime::ZERO);
-        }
-        // The host waits for the middle of the chain: every row up to it
-        // is dominated, and the chunks wholly below it are freed.
-        t.host_joins(ids[n / 2]);
-        assert_eq!(t.clocks.dominated, n / 2 + 1);
-        assert_eq!(t.clocks.dropped, CHUNK_ROWS);
-        assert!(t.clocks.row(ids[0].0).is_none());
-        assert!(t.clocks.row(ids[n - 1].0).is_some());
-        // A wait on a dropped op is still an edge (through the host) ...
-        t.observe_op(
-            ids[n],
-            2,
-            &ids[..1],
-            "k",
-            "kernel",
-            &[(buf_a, Dir::Read)],
-            SimTime::ZERO,
-        );
-        assert!(!t.counters().any());
-        // ... a wait on a live old row still orders its reader ...
-        t.observe_op(
-            ids[n + 1],
-            3,
-            &ids[n - 1..n],
-            "k",
-            "kernel",
-            &[(buf_b, Dir::Read)],
-            SimTime::ZERO,
-        );
-        assert!(!t.counters().any());
-        // ... and the same read without it still races.
-        t.observe_op(
-            ids[n + 2],
-            4,
-            &[],
-            "k",
-            "kernel",
-            &[(buf_b, Dir::Read)],
-            SimTime::ZERO,
-        );
-        assert_eq!(t.counters().read_write_race, 1);
-        assert_eq!(t.counters().total(), 1);
     }
 
     #[test]

@@ -776,13 +776,6 @@ impl GpuSystem {
         self.sched.run_until(op)
     }
 
-    /// Whether `op` has executed (its data effect has run), without
-    /// executing anything: unlike [`GpuSystem::op_completion`], a pending
-    /// op stays pending.
-    pub fn op_executed(&self, op: OpId) -> bool {
-        self.sched.completion(op).is_some()
-    }
-
     /// The NIC receive engine, created on first use (capacity 1: one
     /// message lands at a time, so concurrent arrivals queue — and, under
     /// a schedule oracle, become decision points).

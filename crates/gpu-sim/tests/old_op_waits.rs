@@ -1,6 +1,6 @@
 //! Waits on long-executed ops. The scheduler recycles an op's pending
-//! state once it has run, and the hazard tracker drops clock rows the
-//! host clock dominates; neither may lose a happens-before edge. A stream
+//! state once it has run, and the hazard tracker keeps clock rows packed
+//! in chunks; neither may lose a happens-before edge. A stream
 //! created late that waits on an op thousands of ops old must see it
 //! ordered, and the same program without the wait must still report its
 //! exact hazard.
@@ -34,8 +34,8 @@ fn run(wait: Wait) -> (HazardCounters, Vec<HazardKind>) {
     let ev = g.record_event(a);
     g.op_completion(upload);
 
-    // Thousands of unrelated kernels on another stream. Syncing it makes
-    // the host clock dominate its rows, but not the upload's.
+    // Thousands of unrelated kernels on another stream, synced now and
+    // then so that they execute and their pending state is recycled.
     for i in 0..FILLER {
         g.launch_kernel(
             b,

@@ -436,6 +436,11 @@ impl Slab {
         Arc::ptr_eq(&self.inner, &other.inner)
     }
 
+    /// Live handles on this slab's storage, this one included.
+    pub fn handles(&self) -> usize {
+        Arc::strong_count(&self.inner)
+    }
+
     /// The current write stamp. Every access that can change a backed
     /// slab's bytes — [`Slab::with_mut`], [`Slab::set`], the fills,
     /// [`Slab::write_guard`], being the destination of [`copy`],
